@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 malformed input or flags, 2 invariant failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -28,16 +29,12 @@ from .entanglement import analytic_concurrence, concurrence_pure
 from .optimizer import OptimizerConfig, optimize_settings
 from .scan import (ScanConfig, run_scan, table_rows, write_histogram_csv,
                    write_sample_rows_csv)
-from .spin import spin_operators, validate_spin_algebra
-from .states import (Antisym, Example1, Example2, GHZ3, Horodecki, Product,
-                     PureState, StateInvariantError, Sym, Werner,
-                     family_pure, family_state, pure_to_density,
-                     state_from_json, PURE_FAMILIES)
+from .spin import SPIN_ALGEBRA_TOL, spin_operators, validate_spin_algebra
+from .states import (FAMILIES, NORM_TOL, Example1, Example2, PureState,
+                     StateInvariantError, Werner, family_pure, family_state,
+                     physicality_residuals, pure_to_density, state_from_json)
 
 GAP_TOL = 1e-6
-
-FAMILY_NAMES = ("antisym", "sym", "ghz3", "werner", "horodecki",
-                "example1", "example2", "product")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,49 +63,14 @@ def _print_json(obj, decimals):
     print(json.dumps(_round_floats(obj, decimals), indent=2))
 
 
-def _require(args, names):
-    missing = [f"--{n.replace('_', '')}" for n in names if getattr(args, n) is None]
+def _family_from_args(args):
+    family = FAMILIES[args.family]
+    values = [getattr(args, flag.name[2:].replace("-", "_")) for flag in family.flags]
+    missing = [flag.name for flag, value in zip(family.flags, values)
+               if flag.required and value is None]
     if missing:
         raise ValueError(f"--family {args.family} requires {' '.join(missing)}")
-
-
-def _load_qutrit_matrix(path):
-    if path is None:
-        return np.eye(3) / 3
-    with open(path) as fh:
-        data = json.load(fh)
-    pairs = np.asarray(data["matrix"], dtype=float)
-    if pairs.shape != (9, 2):
-        raise ValueError("single-qutrit factor needs 9 (re, im) matrix entries")
-    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(3, 3)
-
-
-def _family_from_args(args):
-    name = args.family
-    if name == "antisym":
-        _require(args, ("alpha12", "alpha13", "alpha23"))
-        return Antisym(args.alpha12, args.alpha13, args.alpha23)
-    if name == "sym":
-        _require(args, ("alpha11", "alpha22", "alpha33"))
-        return Sym(args.alpha11, args.alpha22, args.alpha33)
-    if name == "ghz3":
-        return GHZ3()
-    if name == "werner":
-        _require(args, ("phi",))
-        return Werner(args.phi)
-    if name == "horodecki":
-        _require(args, ("tau",))
-        return Horodecki(args.tau)
-    if name == "example1":
-        _require(args, ("t",))
-        return Example1(args.t)
-    if name == "example2":
-        _require(args, ("t",))
-        return Example2(args.t)
-    if name == "product":
-        return Product(_load_qutrit_matrix(args.state_a),
-                       _load_qutrit_matrix(args.state_b))
-    raise ValueError(f"unknown family {name!r}")
+    return family.from_flags(*values)
 
 
 def _state_from_args(args):
@@ -117,7 +79,7 @@ def _state_from_args(args):
         raise ValueError("give either --family or --state-file, not both")
     if args.family is not None:
         spec = _family_from_args(args)
-        pure = family_pure(spec) if isinstance(spec, PURE_FAMILIES) else None
+        pure = family_pure(spec) if spec.pure else None
         return family_state(spec), spec, pure
     if args.state_file is not None:
         with open(args.state_file) as fh:
@@ -157,7 +119,6 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import csv as _csv
     if args.points < 2:
         raise ValueError("--points must be >= 2")
     rows = []
@@ -173,7 +134,7 @@ def _cmd_sweep(args) -> int:
             rows.append([float(t), gamma, conc])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = _csv.writer(out)
+        writer = csv.writer(out)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_round_floats(v, args.decimals) for v in row])
@@ -244,41 +205,28 @@ def _cmd_concurrence(args) -> int:
     return 0
 
 
-def _raw_state_checks(data) -> dict:
-    checks = {}
+def _file_state_checks(path) -> dict:
+    with open(path) as fh:
+        data = json.load(fh)
     if "amplitudes" in data:
         pairs = np.asarray(data["amplitudes"], dtype=float)
         amps = pairs[:, 0] + 1j * pairs[:, 1]
-        checks["norm_deviation"] = float(abs(np.sum(np.abs(amps) ** 2) - 1.0))
-        checks["valid"] = checks["norm_deviation"] <= 1e-12
-    else:
-        dims = tuple(data["dims"])
-        n = dims[0] * dims[1]
-        pairs = np.asarray(data["matrix"], dtype=float)
-        rho = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
-        checks["hermiticity_residual"] = float(np.abs(rho - rho.conj().T).max())
-        checks["trace_deviation"] = float(abs(rho.trace() - 1.0))
-        sym = (rho + rho.conj().T) / 2
-        checks["min_eigenvalue"] = float(np.linalg.eigvalsh(sym)[0])
-        checks["valid"] = (checks["hermiticity_residual"] <= 1e-10
-                           and checks["trace_deviation"] <= 1e-10
-                           and checks["min_eigenvalue"] >= -1e-10)
-    return checks
+        deviation = float(abs(np.sum(np.abs(amps) ** 2) - 1.0))
+        return {"norm_deviation": deviation, "valid": deviation <= NORM_TOL}
+    dims = tuple(data["dims"])
+    n = dims[0] * dims[1]
+    pairs = np.asarray(data["matrix"], dtype=float)
+    return physicality_residuals((pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n))
 
 
 def _cmd_validate(args) -> int:
-    if args.family is not None:
-        rho, _, _ = _state_from_args(args)
-        data = rho.to_json()
-    elif args.state_file is not None:
-        with open(args.state_file) as fh:
-            data = json.load(fh)
+    if args.family is None and args.state_file is not None:
+        checks = _file_state_checks(args.state_file)
     else:
-        raise ValueError("a state source is required: --family or --state-file")
-    checks = _raw_state_checks(data)
+        checks = physicality_residuals(_state_from_args(args)[0].matrix)
     s = args.spin if args.spin is not None else 1.0
     algebra = validate_spin_algebra(spin_operators(s))
-    algebra_ok = max(algebra.values()) <= 1e-12
+    algebra_ok = max(algebra.values()) <= SPIN_ALGEBRA_TOL
     payload = {"state": checks, "spin_algebra": algebra,
                "spin_algebra_valid": algebra_ok}
     _print_json(payload, args.decimals)
@@ -286,23 +234,17 @@ def _cmd_validate(args) -> int:
 
 
 def _add_state_source(sub):
-    sub.add_argument("--family", choices=FAMILY_NAMES,
+    sub.add_argument("--family", choices=list(FAMILIES),
                      help="named two-qutrit family")
     sub.add_argument("--state-file", metavar="JSON",
                      help="state file with 'dims' plus 'amplitudes' or 'matrix'")
     sub.add_argument("--spin", type=float, default=None,
                      help="measured spin (default: inferred from dimensions)")
-    for flag in ("--alpha12", "--alpha13", "--alpha23",
-                 "--alpha11", "--alpha22", "--alpha33"):
-        sub.add_argument(flag, type=complex, default=None,
-                         help="coefficient for --family antisym/sym")
-    sub.add_argument("--phi", type=float, default=None, help="Werner mixing parameter in [-1, 1]")
-    sub.add_argument("--tau", type=float, default=None, help="Horodecki parameter in [2, 5]")
-    sub.add_argument("--t", type=float, default=None, help="curve parameter in [0, 1]")
-    sub.add_argument("--state-a", metavar="JSON", default=None,
-                     help="first factor for --family product (default: maximally mixed)")
-    sub.add_argument("--state-b", metavar="JSON", default=None,
-                     help="second factor for --family product (default: maximally mixed)")
+    # a flag that two families share (--t) is added once
+    flags = {flag.name: flag for family in FAMILIES.values() for flag in family.flags}
+    for flag in flags.values():
+        sub.add_argument(flag.name, type=flag.type, default=None,
+                         help=flag.help, metavar=flag.metavar)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_source(p)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=OptimizerConfig.convergence_tol)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_optimize)
 

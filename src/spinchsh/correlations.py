@@ -13,6 +13,9 @@ evaluates the nine operator traces for any spin, while
 ``correlation_matrix_coeff`` (qutrits only) reads the entries directly off
 the computational-basis coefficient tensor.  They agree to near machine
 precision and cross-check one another.
+
+The closed forms for the named two-qutrit families live in the family table
+``states.FAMILIES``; ``analytic_gamma`` looks them up there.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 
 from .entanglement import analytic_concurrence
 from .spin import INPUT_TOL, SpinOperators, spin_projection
-from .states import (Antisym, DensityMatrix, Example1, Example2, FamilySpec,
-                     GHZ3, Horodecki, Product, Sym, Werner)
+from .states import DensityMatrix, FamilySpec, family_of
 
 # Imaginary parts of correlation traces must vanish for physical states.
 IMAG_TOL = 1e-10
@@ -221,47 +223,14 @@ def chsh_expectation(rho: DensityMatrix, setting: MeasurementSetting,
 # ---------------------------------------------------------------------------
 
 def analytic_gamma(spec: FamilySpec) -> float:
-    """Closed-form spin-1 CHSH parameter of a named family member."""
-    if isinstance(spec, Antisym):
-        q = abs(spec.a13 ** 2 - 2 * spec.a12 * spec.a23)
-        return math.sqrt((1 + q * q) / 2)
-    if isinstance(spec, Sym):
-        w = abs(np.conjugate(spec.a11) * spec.a22 + np.conjugate(spec.a22) * spec.a33)
-        p = abs(spec.a11) ** 2 + abs(spec.a33) ** 2
-        # doubly degenerate singular value w versus the simple one p
-        if w >= p:
-            return math.sqrt(2) * w
-        return math.sqrt(w * w + p * p)
-    if isinstance(spec, GHZ3):
-        r = 1 / math.sqrt(3)
-        return analytic_gamma(Sym(r, r, r))
-    if isinstance(spec, Werner):
-        return math.sqrt(2) / 12 * abs(3 * spec.phi - 1)
-    if isinstance(spec, Horodecki):
-        return 4 * math.sqrt(2) / 21
-    if isinstance(spec, Example1):
-        return 1.0
-    if isinstance(spec, Example2):
-        t = spec.t
-        quartic = t ** 4 - 4 * t ** 3 + 9 * t ** 2 - 8 * t + 4
-        return 2 * math.sqrt(quartic) / (3 * t * t - 4 * t + 4)
-    if isinstance(spec, Product):
-        # rank-one correlation matrix: gamma is the product of the two
-        # single-party spin-moment norms
-        ma = _spin_moment(spec.rho_a)
-        mb = _spin_moment(spec.rho_b)
-        return float(np.linalg.norm(ma) * np.linalg.norm(mb))
-    raise ValueError(f"unknown family spec: {spec!r}")
+    """Closed-form spin-1 CHSH parameter of a named family member.
 
-
-def _spin_moment(rho3: np.ndarray) -> np.ndarray:
-    from .spin import spin_operators
-    S = spin_operators(1.0).components
-    return np.array([np.sum(rho3 * S[i].T).real for i in range(3)])
+    The formula is the family's ``gamma()``; see ``states.FAMILIES``.
+    """
+    return family_of(spec).gamma(spec)
 
 
 def analytic_curves(spec) -> tuple:
-    """(gamma, concurrence) of the one-parameter curve families."""
-    if not isinstance(spec, (Example1, Example2)):
-        raise ValueError("curves are defined for the Example1/Example2 families only")
+    """(gamma, concurrence) of a pure family member, such as the
+    one-parameter curve families Example1/Example2; mixed families raise."""
     return analytic_gamma(spec), analytic_concurrence(spec)

@@ -4,7 +4,8 @@ Concurrence of a pure bipartite state is sqrt(2 (1 - tr[rho_j^2])) with
 rho_j either reduced state; it vanishes exactly on product states and
 reaches 2/sqrt(3) on maximally entangled two-qutrit states.  Mixed-state
 concurrence is a different (convex-roof) quantity and is deliberately not
-implemented; passing a mixed family raises.
+implemented; passing a mixed family raises.  The closed-form concurrences
+of the pure named families live in the family table ``states.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
-                     PureState, Sym)
+from .states import DensityMatrix, PureState, family_of, require_physical
 
+# Slack on the purity range [1/d, 1] of a reduced state.
 PURITY_TOL = 1e-10
 
 
@@ -32,12 +33,7 @@ class ReducedState:
         d = m.shape[0]
         if m.shape != (d, d):
             raise ValueError("reduced state must be square")
-        if np.abs(m - m.conj().T).max() > PURITY_TOL:
-            raise ValueError("reduced state is not Hermitian")
-        if abs(m.trace() - 1.0) > PURITY_TOL:
-            raise ValueError("reduced state does not have unit trace")
-        if np.linalg.eigvalsh(m)[0] < -PURITY_TOL:
-            raise ValueError("reduced state is not positive semidefinite")
+        require_physical(m, "reduced state")
         if not (1.0 / d - PURITY_TOL <= self.purity <= 1.0 + PURITY_TOL):
             raise ValueError(f"purity {self.purity} outside [1/{d}, 1]")
         m.setflags(write=False)
@@ -82,21 +78,11 @@ def concurrence_pure(psi: PureState) -> float:
 def analytic_concurrence(spec) -> float:
     """Closed-form concurrence of the pure named families.
 
+    The formula is the family's ``concurrence()``; see ``states.FAMILIES``.
     Mixed families (Werner, Horodecki, Product) are rejected: the pure-state
     formula does not apply to them.
     """
-    if isinstance(spec, Antisym):
-        return 1.0
-    if isinstance(spec, Sym):
-        return math.sqrt(2 * (1 - abs(spec.a11) ** 4 - abs(spec.a22) ** 4 - abs(spec.a33) ** 4))
-    if isinstance(spec, GHZ3):
-        return 2 / math.sqrt(3)
-    if isinstance(spec, Example1):
-        t = spec.t
-        return 2 * t * (1 - t) / (1 - 2 * t * (1 - t))
-    if isinstance(spec, Example2):
-        t = spec.t
-        return 2 * t * math.sqrt(3 * t * t - 8 * t + 8) / (3 * t * t - 4 * t + 4)
-    raise ValueError(
-        f"no pure-state concurrence for {type(spec).__name__}; "
-        "only the pure families (Antisym, Sym, GHZ3, Example1, Example2) have one")
+    family = family_of(spec)
+    if not family.pure:
+        raise ValueError(f"no pure-state concurrence for the mixed family {family.__name__}")
+    return family.concurrence(spec)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlations import CorrelationMatrix, MeasurementSetting
-from .states import _keyed_generator
+from .states import check_key, keyed_generator
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class OptimizerConfig:
             raise ValueError("convergence_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        check_key("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
     best = None
     any_converged = False
     for restart in range(cfg.restarts):
-        rng = _keyed_generator(cfg.seed, restart)
+        rng = keyed_generator(cfg.seed, restart)
         a1, a2 = _random_unit(rng), _random_unit(rng)
         b1, b2 = _random_unit(rng), _random_unit(rng)
         history = []

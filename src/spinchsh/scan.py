@@ -20,7 +20,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
-from .states import SAMPLERS, PureState, sample_amplitude_batch, sample_pure_state
+from .states import (SAMPLERS, PureState, check_key, sample_amplitude_batch,
+                     sample_pure_state)
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +55,7 @@ class ScanConfig:
             raise ValueError("histogram_bins must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        check_key("seed", self.seed)
 
 
 @dataclass
@@ -96,7 +98,13 @@ class ScanReport:
 
 
 def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
-    """(gamma, concurrence) arrays for a batch of normalized amplitude rows."""
+    """(gamma, concurrence) arrays for a batch of normalized amplitude rows.
+
+    Concurrence here is sqrt(2 (1 - purity)), which bottoms out near 1e-8
+    for near-product states, where ``concurrence_pure`` uses the exact
+    pairwise Schmidt form.  The two stay apart because switching this
+    kernel would change the bytes of every scan report.
+    """
     b = amplitudes.shape[0]
     a = amplitudes.reshape(b, 3, 3)
     zeta = np.einsum("bmk,bpq->bmpkq", a, a.conj())
@@ -137,7 +145,8 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     """Scan cfg.n_samples random pure two-qutrit states and reduce.
 
     The report is a pure function of (seed, n_samples, sampler,
-    histogram_bins); the worker count only affects wall time.
+    histogram_bins); the worker count only affects wall time.  The seed
+    lies in [0, 2**64); ScanConfig rejects any other value.
     """
     tasks = [(cfg, start, min(start + CHUNK, cfg.n_samples))
              for start in range(0, cfg.n_samples, CHUNK)]

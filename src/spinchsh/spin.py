@@ -14,6 +14,8 @@ import numpy as np
 # Tolerance for validating caller-supplied data (directions, spin values);
 # the exact constructions themselves are held to 1e-12 in tests.
 INPUT_TOL = 1e-9
+# Largest residual of the spin-algebra identities that validation accepts.
+SPIN_ALGEBRA_TOL = 1e-12
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
@@ -97,7 +99,7 @@ def validate_spin_algebra(ops: SpinOperators) -> dict:
       trace_orthogonality  max |tr[S_j S_k] - c delta_jk|, c = s(s+1)d/3
       casimir              max |S1^2 + S2^2 + S3^2 - s(s+1) I|
 
-    All residuals are <= 1e-12 for the exact ladder construction.
+    All residuals are <= SPIN_ALGEBRA_TOL for the exact ladder construction.
     """
     S = ops.components
     s, d = ops.s, ops.d

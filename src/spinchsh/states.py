@@ -10,11 +10,15 @@ is the matrix element between |m k> and |m2 k2> (all indices 0-based).
 
 from __future__ import annotations
 
+import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+
+from .spin import spin_operators
 
 NORM_TOL = 1e-12       # pure-state and family-coefficient normalization
 HERMITICITY_TOL = 1e-10
@@ -22,13 +26,40 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10        # minimum eigenvalue may round off to -PSD_TOL
 WEIGHT_TOL = 1e-9
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 SAMPLERS = ("uniform", "haar")
 
 
 class StateInvariantError(ValueError):
     """A state failed a physicality check (normalization, Hermiticity, trace, PSD)."""
+
+
+def physicality_residuals(matrix) -> dict:
+    """Hermiticity, trace and positivity residuals of a square matrix rho.
+
+    ``min_eigenvalue`` is that of the Hermitian part, which is rho itself
+    when rho is exactly Hermitian; ``valid`` says whether all three
+    residuals are within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.
+    """
+    m = np.asarray(matrix)
+    herm = float(np.abs(m - m.conj().T).max())
+    trace_dev = float(abs(m.trace() - 1.0))
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    return {
+        "hermiticity_residual": herm,
+        "trace_deviation": trace_dev,
+        "min_eigenvalue": min_eig,
+        "valid": herm <= HERMITICITY_TOL and trace_dev <= TRACE_TOL and min_eig >= -PSD_TOL,
+    }
+
+
+def require_physical(matrix, name: str) -> None:
+    """Raise StateInvariantError unless ``matrix`` is Hermitian, trace-one and PSD."""
+    res = physicality_residuals(matrix)
+    if not res["valid"]:
+        raise StateInvariantError(
+            f"{name} is not a density matrix: max |rho - rho^dagger| = "
+            f"{res['hermiticity_residual']:.3e}, |tr - 1| = {res['trace_deviation']:.3e}, "
+            f"min eigenvalue = {res['min_eigenvalue']:.3e}")
 
 
 @dataclass(frozen=True)
@@ -90,16 +121,7 @@ class DensityMatrix:
         n = dims[0] * dims[1]
         if rho.shape != (n, n):
             raise ValueError(f"matrix shape {rho.shape} does not match dims {dims}")
-        herm = np.abs(rho - rho.conj().T).max()
-        if herm > HERMITICITY_TOL:
-            raise StateInvariantError(f"matrix is not Hermitian: max |rho - rho^dagger| = {herm:.3e}")
-        tr = rho.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateInvariantError(f"matrix does not have unit trace: tr = {tr!r}")
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -PSD_TOL:
-            raise StateInvariantError(
-                f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
+        require_physical(rho, "matrix")
         rho.setflags(write=False)
         object.__setattr__(self, "matrix", rho)
         object.__setattr__(self, "dims", dims)
@@ -166,14 +188,45 @@ def mix(components) -> DensityMatrix:
 # Named two-qutrit families
 # ---------------------------------------------------------------------------
 
+class Flag(NamedTuple):
+    """Command-line flag for one family parameter, in argparse's terms."""
+
+    name: str
+    type: Optional[Callable]
+    help: str
+    metavar: Optional[str] = None
+    required: bool = True
+
+
+class Family:
+    """A named two-qutrit family: an entry of the table FAMILIES.
+
+    Each family is a frozen dataclass of its parameters that gives, in one
+    place, the command-line ``flags`` carrying its parameters to
+    ``from_flags``, its ``state()`` (a PureState for a ``pure`` family, a
+    DensityMatrix for a mixed one), the closed-form spin-1 CHSH parameter
+    ``gamma()`` and, for pure families only, the closed-form ``concurrence()``.
+    """
+
+    flags = ()
+    pure = False
+
+    @classmethod
+    def from_flags(cls, *values):
+        return cls(*values)
+
+
 def _check_unit_coefficients(name, *coeffs):
     total = sum(abs(c) ** 2 for c in coeffs)
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"{name} coefficients must have unit norm, got sum |a|^2 = {total!r}")
 
 
+_COEFFICIENT_HELP = "coefficient for --family antisym/sym"
+
+
 @dataclass(frozen=True)
-class Antisym:
+class Antisym(Family):
     """Pure state in the antisymmetric subspace of two qutrits.
 
     Coefficients a12, a13, a23 weight the singlet-like basis vectors
@@ -184,29 +237,84 @@ class Antisym:
     a13: complex
     a23: complex
 
+    flags = tuple(Flag(f"--alpha{ij}", complex, _COEFFICIENT_HELP) for ij in ("12", "13", "23"))
+    pure = True
+
     def __post_init__(self):
         _check_unit_coefficients("Antisym", self.a12, self.a13, self.a23)
 
+    def state(self) -> PureState:
+        psi = np.zeros(9, dtype=complex)
+        for (i, j), a in (((0, 1), self.a12), ((0, 2), self.a13), ((1, 2), self.a23)):
+            psi[i * 3 + j] += a / math.sqrt(2)
+            psi[j * 3 + i] -= a / math.sqrt(2)
+        return PureState(psi, (3, 3))
+
+    def gamma(self) -> float:
+        q = abs(self.a13 ** 2 - 2 * self.a12 * self.a23)
+        return math.sqrt((1 + q * q) / 2)
+
+    def concurrence(self) -> float:
+        return 1.0
+
 
 @dataclass(frozen=True)
-class Sym:
+class Sym(Family):
     """Pure two-qutrit state a11 |11> + a22 |22> + a33 |33> (normalized)."""
 
     a11: complex
     a22: complex
     a33: complex
 
+    flags = tuple(Flag(f"--alpha{ii}", complex, _COEFFICIENT_HELP) for ii in ("11", "22", "33"))
+    pure = True
+
     def __post_init__(self):
         _check_unit_coefficients("Sym", self.a11, self.a22, self.a33)
 
+    def state(self) -> PureState:
+        psi = np.zeros(9, dtype=complex)
+        psi[0], psi[4], psi[8] = self.a11, self.a22, self.a33
+        return PureState(psi, (3, 3))
+
+    def gamma(self) -> float:
+        w = abs(np.conjugate(self.a11) * self.a22 + np.conjugate(self.a22) * self.a33)
+        p = abs(self.a11) ** 2 + abs(self.a33) ** 2
+        # doubly degenerate singular value w versus the simple one p
+        if w >= p:
+            return math.sqrt(2) * w
+        return math.sqrt(w * w + p * p)
+
+    def concurrence(self) -> float:
+        return math.sqrt(2 * (1 - abs(self.a11) ** 4 - abs(self.a22) ** 4 - abs(self.a33) ** 4))
+
+
+class _SymMember(Family):
+    """A pure family whose members are the Sym states of ``coefficients()``."""
+
+    pure = True
+
+    def state(self) -> PureState:
+        return Sym(*self.coefficients()).state()
+
 
 @dataclass(frozen=True)
-class GHZ3:
+class GHZ3(_SymMember):
     """Maximally entangled two-qutrit state (|11> + |22> + |33>)/sqrt(3)."""
 
+    def coefficients(self) -> tuple:
+        r = 1 / math.sqrt(3)
+        return (r, r, r)
+
+    def gamma(self) -> float:
+        return Sym(*self.coefficients()).gamma()
+
+    def concurrence(self) -> float:
+        return 2 / math.sqrt(3)
+
 
 @dataclass(frozen=True)
-class Werner:
+class Werner(Family):
     """Two-qutrit Werner state: mixture of identity and the swap operator.
 
     phi in [-1, 1]; separable iff phi >= 0.
@@ -214,89 +322,151 @@ class Werner:
 
     phi: float
 
+    flags = (Flag("--phi", float, "Werner mixing parameter in [-1, 1]"),)
+
     def __post_init__(self):
         if not -1.0 <= self.phi <= 1.0:
             raise ValueError(f"phi must lie in [-1, 1], got {self.phi}")
 
+    def state(self) -> DensityMatrix:
+        rho = (3 - self.phi) / 24 * np.eye(9) + (3 * self.phi - 1) / 24 * swap_operator(3)
+        return DensityMatrix(rho.astype(complex), (3, 3))
+
+    def gamma(self) -> float:
+        return math.sqrt(2) / 12 * abs(3 * self.phi - 1)
+
 
 @dataclass(frozen=True)
-class Horodecki:
+class Horodecki(Family):
     """One-parameter two-qutrit mixture spanning separable, bound-entangled
     and free-entangled regimes as tau runs over [2, 5]."""
 
     tau: float
 
+    flags = (Flag("--tau", float, "Horodecki parameter in [2, 5]"),)
+
     def __post_init__(self):
         if not 2.0 <= self.tau <= 5.0:
             raise ValueError(f"tau must lie in [2, 5], got {self.tau}")
 
+    def state(self) -> DensityMatrix:
+        # direct weighted assembly: the endpoint weight (5 - tau)/7 vanishes
+        # at tau = 5, which mix() would reject
+        ghz = family_state(GHZ3())
+        cyc_up = sum(np.outer(_basis_ket(i, j), _basis_ket(i, j).conj())
+                     for i, j in ((0, 1), (1, 2), (2, 0))) / 3
+        cyc_down = sum(np.outer(_basis_ket(j, i), _basis_ket(j, i).conj())
+                       for i, j in ((0, 1), (1, 2), (2, 0))) / 3
+        rho = 2 / 7 * ghz.matrix + self.tau / 7 * cyc_up + (5 - self.tau) / 7 * cyc_down
+        return DensityMatrix(rho, (3, 3))
 
-def _check_curve_parameter(t: float):
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    def gamma(self) -> float:
+        return 4 * math.sqrt(2) / 21
 
 
 @dataclass(frozen=True)
-class Example1:
+class _Curve(_SymMember):
+    """A one-parameter pure family, t in [0, 1]."""
+
+    t: float
+
+    flags = (Flag("--t", float, "curve parameter in [0, 1]"),)
+
+    def __post_init__(self):
+        if not 0.0 <= self.t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {self.t}")
+
+
+@dataclass(frozen=True)
+class Example1(_Curve):
     """One-parameter pure family (1-t)|11> + t|33>, normalized.
 
     Entanglement varies with t while the spin-1 CHSH parameter stays
     equal to one on the whole interval.
     """
 
-    t: float
-
-    def __post_init__(self):
-        _check_curve_parameter(self.t)
-
     def coefficients(self) -> tuple:
         norm = math.sqrt(1 - 2 * self.t + 2 * self.t ** 2)
         return ((1 - self.t) / norm, 0.0, self.t / norm)
 
+    def gamma(self) -> float:
+        return 1.0
+
+    def concurrence(self) -> float:
+        t = self.t
+        return 2 * t * (1 - t) / (1 - 2 * t * (1 - t))
+
 
 @dataclass(frozen=True)
-class Example2:
+class Example2(_Curve):
     """One-parameter pure family interpolating |11> (t=0) to the GHZ state (t=1).
 
     Entanglement increases monotonically while the spin-1 CHSH parameter
     decreases.
     """
 
-    t: float
-
-    def __post_init__(self):
-        _check_curve_parameter(self.t)
-
     def coefficients(self) -> tuple:
         norm = math.sqrt(1 - self.t + 0.75 * self.t ** 2)
         return ((1 - self.t / 2) / norm, (self.t / 2) / norm, (self.t / 2) / norm)
 
+    def gamma(self) -> float:
+        t = self.t
+        quartic = t ** 4 - 4 * t ** 3 + 9 * t ** 2 - 8 * t + 4
+        return 2 * math.sqrt(quartic) / (3 * t * t - 4 * t + 4)
+
+    def concurrence(self) -> float:
+        t = self.t
+        return 2 * t * math.sqrt(3 * t * t - 8 * t + 8) / (3 * t * t - 4 * t + 4)
+
+
+def _load_qutrit_matrix(path):
+    if path is None:
+        return np.eye(3) / 3
+    with open(path) as fh:
+        data = json.load(fh)
+    pairs = np.asarray(data["matrix"], dtype=float)
+    if pairs.shape != (9, 2):
+        raise ValueError("single-qutrit factor needs 9 (re, im) matrix entries")
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(3, 3)
+
 
 @dataclass(frozen=True)
-class Product:
+class Product(Family):
     """Product of two single-qutrit density matrices (3x3 arrays)."""
 
     rho_a: np.ndarray
     rho_b: np.ndarray
+
+    flags = (Flag("--state-a", None, "first factor for --family product (default: maximally mixed)",
+                  "JSON", required=False),
+             Flag("--state-b", None, "second factor for --family product (default: maximally mixed)",
+                  "JSON", required=False))
 
     def __post_init__(self):
         for name, rho in (("rho_a", self.rho_a), ("rho_b", self.rho_b)):
             rho = np.ascontiguousarray(rho, dtype=complex)
             if rho.shape != (3, 3):
                 raise ValueError(f"{name} must be a 3x3 matrix")
-            if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
-                raise StateInvariantError(f"{name} is not Hermitian")
-            if abs(rho.trace() - 1.0) > TRACE_TOL:
-                raise StateInvariantError(f"{name} does not have unit trace")
-            if np.linalg.eigvalsh(rho)[0] < -PSD_TOL:
-                raise StateInvariantError(f"{name} is not positive semidefinite")
+            require_physical(rho, name)
             rho.setflags(write=False)
             object.__setattr__(self, name, rho)
 
+    @classmethod
+    def from_flags(cls, path_a, path_b) -> "Product":
+        """Factors read from JSON files of 9 (re, im) matrix entries; no
+        path gives the maximally mixed qutrit."""
+        return cls(_load_qutrit_matrix(path_a), _load_qutrit_matrix(path_b))
 
-FamilySpec = Union[Antisym, Sym, GHZ3, Werner, Horodecki, Example1, Example2, Product]
+    def state(self) -> DensityMatrix:
+        return DensityMatrix(np.kron(self.rho_a, self.rho_b), (3, 3))
 
-PURE_FAMILIES = (Antisym, Sym, GHZ3, Example1, Example2)
+    def gamma(self) -> float:
+        # rank-one correlation matrix: gamma is the product of the two
+        # single-party spin-moment norms
+        S = spin_operators(1.0).components
+        ma = np.array([np.sum(self.rho_a * S[i].T).real for i in range(3)])
+        mb = np.array([np.sum(self.rho_b * S[i].T).real for i in range(3)])
+        return float(np.linalg.norm(ma) * np.linalg.norm(mb))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -314,46 +484,37 @@ def _basis_ket(m: int, k: int) -> np.ndarray:
     return psi
 
 
+# The family table: every named family by command-line name, in the order
+# the command line lists them.
+FAMILIES = {"antisym": Antisym, "sym": Sym, "ghz3": GHZ3, "werner": Werner,
+            "horodecki": Horodecki, "example1": Example1, "example2": Example2,
+            "product": Product}
+
+FamilySpec = Family
+
+
+def family_of(spec: FamilySpec) -> type:
+    """The FAMILIES entry (the class) of a family member; raises for anything else."""
+    family = type(spec)
+    if family not in FAMILIES.values():
+        raise ValueError(f"unknown family spec: {spec!r}")
+    return family
+
+
 def family_pure(spec: FamilySpec) -> PureState:
     """State vector of a pure family member; raises for mixed families."""
-    if isinstance(spec, Antisym):
-        psi = np.zeros(9, dtype=complex)
-        for (i, j), a in (((0, 1), spec.a12), ((0, 2), spec.a13), ((1, 2), spec.a23)):
-            psi[i * 3 + j] += a / math.sqrt(2)
-            psi[j * 3 + i] -= a / math.sqrt(2)
-        return PureState(psi, (3, 3))
-    if isinstance(spec, Sym):
-        psi = np.zeros(9, dtype=complex)
-        psi[0], psi[4], psi[8] = spec.a11, spec.a22, spec.a33
-        return PureState(psi, (3, 3))
-    if isinstance(spec, GHZ3):
-        r = 1 / math.sqrt(3)
-        return family_pure(Sym(r, r, r))
-    if isinstance(spec, (Example1, Example2)):
-        return family_pure(Sym(*spec.coefficients()))
-    raise ValueError(f"{type(spec).__name__} is not a pure family")
+    family = family_of(spec)
+    if not family.pure:
+        raise ValueError(f"{family.__name__} is not a pure family")
+    return family.state(spec)
 
 
 def family_state(spec: FamilySpec) -> DensityMatrix:
     """Density matrix of any named family member."""
-    if isinstance(spec, PURE_FAMILIES):
-        return pure_to_density(family_pure(spec))
-    if isinstance(spec, Werner):
-        rho = (3 - spec.phi) / 24 * np.eye(9) + (3 * spec.phi - 1) / 24 * swap_operator(3)
-        return DensityMatrix(rho.astype(complex), (3, 3))
-    if isinstance(spec, Horodecki):
-        # direct weighted assembly: the endpoint weight (5 - tau)/7 vanishes
-        # at tau = 5, which mix() would reject
-        ghz = family_state(GHZ3())
-        cyc_up = sum(np.outer(_basis_ket(i, j), _basis_ket(i, j).conj())
-                     for i, j in ((0, 1), (1, 2), (2, 0))) / 3
-        cyc_down = sum(np.outer(_basis_ket(j, i), _basis_ket(j, i).conj())
-                       for i, j in ((0, 1), (1, 2), (2, 0))) / 3
-        rho = 2 / 7 * ghz.matrix + spec.tau / 7 * cyc_up + (5 - spec.tau) / 7 * cyc_down
-        return DensityMatrix(rho, (3, 3))
-    if isinstance(spec, Product):
-        return DensityMatrix(np.kron(spec.rho_a, spec.rho_b), (3, 3))
-    raise ValueError(f"unknown family spec: {spec!r}")
+    family = family_of(spec)
+    if family.pure:
+        return pure_to_density(family.state(spec))
+    return family.state(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +524,24 @@ def family_state(spec: FamilySpec) -> DensityMatrix:
 # Reproducibility contract: sample number i of a run seeded with `seed` is a
 # pure function of the pair (seed, i).  The pair keys a Philox-4x64 counter
 # based generator, so samples are independent of batching, ordering and
-# worker count.
+# worker count.  Seeds and indices outside [0, 2**64) are rejected rather
+# than wrapped, so no two seeds name the same stream.
 
-def _keyed_generator(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, index & _MASK64]))
+def check_key(name: str, value: int) -> int:
+    """``value`` as one 64-bit word of a Philox key (a seed or a sample
+    index); raises unless it is an integer in [0, 2**64)."""
+    value = operator.index(value)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
+
+
+def keyed_generator(seed: int, index: int) -> np.random.Generator:
+    """Philox-4x64 generator keyed by (seed, index), both in [0, 2**64)."""
+    # a uint64 array, because numpy converts a list that mixes words above
+    # and below 2**63 through float64 and so loses key bits
+    key = np.array([check_key("seed", seed), check_key("index", index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw_amplitudes(rng: np.random.Generator, n: int, sampler: str) -> np.ndarray:
@@ -387,7 +562,7 @@ def sample_pure_state(dims=(3, 3), sampler: str = "uniform",
                       seed: int = 0, index: int = 0) -> PureState:
     """Draw one random normalized pure state, determined by (seed, index)."""
     n = int(dims[0]) * int(dims[1])
-    amps = _draw_amplitudes(_keyed_generator(seed, index), n, sampler)
+    amps = _draw_amplitudes(keyed_generator(seed, index), n, sampler)
     # normalization spelled exactly as in sample_amplitude_batch so the two
     # paths agree bit for bit
     amps /= np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
@@ -402,13 +577,17 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
+    check_key("seed", seed)
+    check_key("index", start)
+    if count > 0:
+        check_key("index", start + count - 1)
     n = int(dims[0]) * int(dims[1])
     bitgen = np.random.Philox(key=[0, 0])
     rng = np.random.Generator(bitgen)
     out = np.empty((count, n), dtype=complex)
     for i in range(count):
         state = bitgen.state
-        state["state"]["key"][:] = (seed & _MASK64, (start + i) & _MASK64)
+        state["state"]["key"][:] = (seed, start + i)
         state["state"]["counter"][:] = 0
         state["buffer_pos"] = 4
         state["has_uint32"] = 0

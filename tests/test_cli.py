@@ -184,6 +184,18 @@ class TestScan:
         _, out2 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "2")
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_key_domain_exits_1(self, capsys, seed):
+        assert main(["scan", "--n", "10", "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert "seed must lie in [0, 2**64)" in err
+        assert main(["optimize", "--family", "ghz3", "--seed", seed]) == 1
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out = run_cli(capsys, "scan", "--n", "10", "--seed", str(2 ** 64 - 1))
+        assert code == 0
+        assert out != run_cli(capsys, "scan", "--n", "10", "--seed", "0")[1]
+
     def test_haar_alias_rejected_values(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["scan", "--n", "10", "--sampler", "gaussian"])

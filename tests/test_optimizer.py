@@ -50,6 +50,16 @@ class TestBilinearReduce:
 
 class TestOptimizeSettings:
 
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64])
+    def test_seed_outside_key_domain_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        z = CorrelationMatrix(np.diag([4, -4, -1]) / 21, s=1.0)
+        result = optimize_settings(z, OptimizerConfig(seed=2 ** 64 - 1))
+        assert result.value == pytest.approx(8 * math.sqrt(2) / 21, abs=1e-6)
+
     def test_horodecki_target(self):
         z = CorrelationMatrix(np.diag([4, -4, -1]) / 21, s=1.0)
         result = optimize_settings(z, OptimizerConfig(seed=2))

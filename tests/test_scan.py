@@ -21,6 +21,19 @@ def pipeline_gamma(psi):
 
 class TestRunScan:
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_key_domain_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ScanConfig(n_samples=10, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        top = 2 ** 64 - 1
+        report = run_scan(ScanConfig(n_samples=3, seed=top))
+        assert report.seed == top
+        assert np.array_equal(report.argmax_state.amplitudes,
+                              sample_pure_state((3, 3), "uniform", top,
+                                                report.argmax_index).amplitudes)
+
     def test_single_sample_matches_library_pipeline(self):
         report = run_scan(ScanConfig(n_samples=1, seed=7))
         psi = sample_pure_state((3, 3), "uniform", seed=7, index=0)

@@ -8,7 +8,7 @@ from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
                       Horodecki, Product, PureState, StateInvariantError, Sym,
                       Werner, family_pure, family_state, mix, pure_to_density,
                       sample_pure_state, state_from_json, swap_operator)
-from spinchsh.states import sample_amplitude_batch
+from spinchsh.states import keyed_generator, physicality_residuals, sample_amplitude_batch
 
 
 def basis_state(m, k):
@@ -244,6 +244,86 @@ class TestSampling:
     def test_unknown_sampler_rejected(self):
         with pytest.raises(ValueError):
             sample_pure_state((3, 3), "bogus", seed=0)
+
+
+class TestKeyDomain:
+    """Seeds and sample indices are rejected outside [0, 2**64), not wrapped."""
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            keyed_generator(seed, 0)
+        with pytest.raises(ValueError, match="seed"):
+            sample_pure_state((3, 3), "uniform", seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            sample_amplitude_batch((3, 3), "uniform", seed, 0, 4)
+
+    @pytest.mark.parametrize("index", [-1, 2 ** 64])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="index"):
+            sample_pure_state((3, 3), "uniform", seed=0, index=index)
+        with pytest.raises(ValueError, match="index"):
+            sample_amplitude_batch((3, 3), "uniform", 0, index, 1)
+
+    def test_batch_checks_its_last_index(self):
+        with pytest.raises(ValueError, match="index"):
+            sample_amplitude_batch((3, 3), "uniform", 0, 2 ** 64 - 2, 3)
+        with pytest.raises(ValueError, match="index"):
+            sample_amplitude_batch((3, 3), "uniform", 0, -1, 3)
+
+    def test_largest_seed_and_index_accepted(self):
+        top = 2 ** 64 - 1
+        batch = sample_amplitude_batch((3, 3), "haar", top, top - 1, 2)
+        assert np.array_equal(batch[1], sample_pure_state((3, 3), "haar", top, top).amplitudes)
+
+    @pytest.mark.parametrize("seed, index", [
+        (2 ** 63 + 5, 3), (7, 2 ** 63 + 9), (2 ** 64 - 1, 0), (2 ** 63, 1)])
+    def test_high_key_words_keep_single_and_batch_paths_equal(self, seed, index):
+        # a key with one word above 2**63 and one below must not lose bits
+        single = sample_pure_state((3, 3), "uniform", seed, index).amplitudes
+        assert np.array_equal(single, sample_amplitude_batch((3, 3), "uniform", seed, index, 1)[0])
+        assert not np.array_equal(single, sample_pure_state((3, 3), "uniform", seed ^ 1, index).amplitudes)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(TypeError):
+            keyed_generator(1.5, 0)
+
+    def test_empty_batch(self):
+        assert sample_amplitude_batch((3, 3), "uniform", 0, 0, 0).shape == (0, 9)
+
+
+class TestPhysicalityResiduals:
+
+    def test_valid_state(self, rng):
+        m = random_mixed(rng).matrix
+        m = (m + m.conj().T) / 2  # exactly Hermitian
+        res = physicality_residuals(m)
+        assert res["valid"] is True
+        assert res["hermiticity_residual"] == 0.0
+        # the Hermitian part of an exactly Hermitian matrix is the matrix itself
+        assert res["min_eigenvalue"] == float(np.linalg.eigvalsh(m)[0])
+
+    @staticmethod
+    def _two_qubit(entries):
+        m = np.zeros((4, 4), dtype=complex)
+        for (i, j), v in entries.items():
+            m[i, j] = v
+        return m
+
+    @pytest.mark.parametrize("entries, failing", [
+        ({(0, 0): 0.5, (1, 1): 0.5, (2, 2): 0.5, (3, 3): 0.5}, "trace_deviation"),
+        ({(0, 0): 0.5, (3, 3): 0.5, (0, 1): 0.1, (1, 0): -0.1}, "hermiticity_residual"),
+        ({(0, 0): 1.2, (1, 1): -0.2}, "min_eigenvalue"),
+    ])
+    def test_each_check_fails_alone(self, entries, failing):
+        m = self._two_qubit(entries)
+        res = physicality_residuals(m)
+        assert res["valid"] is False
+        assert (res["hermiticity_residual"] > 0) == (failing == "hermiticity_residual")
+        assert (res["trace_deviation"] > 0) == (failing == "trace_deviation")
+        assert (res["min_eigenvalue"] < 0) == (failing == "min_eigenvalue")
+        with pytest.raises(StateInvariantError):
+            DensityMatrix(m, (2, 2))
 
 
 class TestSerialization:
