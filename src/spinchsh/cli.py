@@ -30,9 +30,10 @@ from .optimizer import OptimizerConfig, optimize_settings
 from .scan import (ScanConfig, run_scan, table_rows, write_histogram_csv,
                    write_sample_rows_csv)
 from .spin import SPIN_ALGEBRA_TOL, spin_operators, validate_spin_algebra
-from .states import (FAMILIES, NORM_TOL, Example1, Example2, PureState,
-                     StateInvariantError, Werner, family_pure, family_state,
-                     physicality_residuals, pure_to_density, state_from_json)
+from .states import (FAMILIES, Example1, Example2, PureState,
+                     StateInvariantError, Werner, _read_state, family_pure,
+                     family_state, norm_residuals, physicality_residuals,
+                     pure_to_density, state_from_json)
 
 GAP_TOL = 1e-6
 
@@ -205,23 +206,12 @@ def _cmd_concurrence(args) -> int:
     return 0
 
 
-def _file_state_checks(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if "amplitudes" in data:
-        pairs = np.asarray(data["amplitudes"], dtype=float)
-        amps = pairs[:, 0] + 1j * pairs[:, 1]
-        deviation = float(abs(np.sum(np.abs(amps) ** 2) - 1.0))
-        return {"norm_deviation": deviation, "valid": deviation <= NORM_TOL}
-    dims = tuple(data["dims"])
-    n = dims[0] * dims[1]
-    pairs = np.asarray(data["matrix"], dtype=float)
-    return physicality_residuals((pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n))
-
-
 def _cmd_validate(args) -> int:
     if args.family is None and args.state_file is not None:
-        checks = _file_state_checks(args.state_file)
+        # read as state_from_json reads it, but an unphysical state is reported, not refused
+        with open(args.state_file) as fh:
+            _, entries = _read_state(json.load(fh))
+        checks = norm_residuals(entries) if entries.ndim == 1 else physicality_residuals(entries)
     else:
         checks = physicality_residuals(_state_from_args(args)[0].matrix)
     s = args.spin if args.spin is not None else 1.0

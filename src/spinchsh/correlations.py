@@ -183,6 +183,13 @@ def top_two_root(gram_eigenvalues: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(ev[..., 2], 0.0, None) + np.clip(ev[..., 1], 0.0, None))
 
 
+def check_tsirelson(gamma) -> None:
+    """Raise ValueError if gamma (a float or an array) exceeds the cap sqrt(2) anywhere."""
+    top = float(np.max(gamma, initial=0.0))
+    if top > math.sqrt(2) + VIOLATION_TOL:
+        raise ValueError(f"gamma = {top} exceeds the quantum cap sqrt(2); invalid correlation matrix")
+
+
 def chsh_analysis(Z: CorrelationMatrix) -> ChshAnalysis:
     """Singular values, CHSH parameter gamma and maximum expectation upsilon."""
     M = Z.matrix
@@ -191,8 +198,7 @@ def chsh_analysis(Z: CorrelationMatrix) -> ChshAnalysis:
     root = float(top_two_root(ev))
     s_sq = Z.s * Z.s
     gamma = root / s_sq
-    if gamma > math.sqrt(2) + VIOLATION_TOL:
-        raise ValueError(f"gamma = {gamma} exceeds the quantum cap sqrt(2); invalid correlation matrix")
+    check_tsirelson(gamma)
     sv.setflags(write=False)
     return ChshAnalysis(singular_values=sv, gamma=gamma, upsilon=2 * s_sq * gamma, s=Z.s)
 

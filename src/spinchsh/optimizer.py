@@ -62,9 +62,11 @@ def _matrix_of(Z) -> np.ndarray:
 def bilinear_reduce(Z, setting: MeasurementSetting) -> float:
     """CHSH expectation as a bilinear form in the measurement directions:
     a1 . Z (b1 + b2) + a2 . Z (b1 - b2)."""
-    m = _matrix_of(Z)
-    return float(setting.a1 @ (m @ (setting.b1 + setting.b2))
-                 + setting.a2 @ (m @ (setting.b1 - setting.b2)))
+    return _bilinear(_matrix_of(Z), setting.a1, setting.a2, setting.b1, setting.b2)
+
+
+def _bilinear(m, a1, a2, b1, b2) -> float:
+    return float(a1 @ (m @ (b1 + b2)) + a2 @ (m @ (b1 - b2)))
 
 
 def _random_unit(rng) -> np.ndarray:
@@ -110,7 +112,7 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
             a2 = _normalize_or_keep(m @ (b1 - b2), a2)
             b1 = _normalize_or_keep(mt @ (a1 + a2), b1)
             b2 = _normalize_or_keep(mt @ (a1 - a2), b2)
-            obj = float(a1 @ (m @ (b1 + b2)) + a2 @ (m @ (b1 - b2)))
+            obj = _bilinear(m, a1, a2, b1, b2)
             history.append(obj)
             if obj - prev < cfg.convergence_tol:
                 converged = True

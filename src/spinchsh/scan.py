@@ -19,9 +19,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
-from .states import (SAMPLERS, PureState, check_key, sample_amplitude_batch,
-                     sample_pure_state)
+from .correlations import VIOLATION_TOL, check_tsirelson, correlation_from_coefficients, top_two_root
+from .states import (SAMPLERS, PureState, _to_pairs, check_key,
+                     sample_amplitude_batch, sample_pure_state)
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,7 @@ class ScanReport:
             "violation_count": int(self.violation_count),
             "histogram": [[float(lo), float(hi), int(c)] for lo, hi, c in self.histogram],
             "sample_rows": [
-                {"amplitudes": [[float(a.real), float(a.imag)] for a in amps],
-                 "gamma": float(g)}
+                {"amplitudes": _to_pairs(amps), "gamma": float(g)}
                 for amps, g in self.sample_rows
             ],
             "min_concurrence": float(self.min_concurrence),
@@ -103,7 +102,8 @@ def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
     Concurrence here is sqrt(2 (1 - purity)), which bottoms out near 1e-8
     for near-product states, where ``concurrence_pure`` uses the exact
     pairwise Schmidt form.  The two stay apart because switching this
-    kernel would change the bytes of every scan report.
+    kernel would change the bytes of every scan report.  A gamma above the
+    quantum cap sqrt(2) raises ValueError, as in ``chsh_analysis``.
     """
     b = amplitudes.shape[0]
     a = amplitudes.reshape(b, 3, 3)
@@ -111,6 +111,7 @@ def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
     z = correlation_from_coefficients(zeta)
     ev = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", z, z))
     gamma = top_two_root(ev)
+    check_tsirelson(gamma)
     reduced = np.einsum("bij,bkj->bik", a, a.conj())
     purity = np.einsum("bik,bik->b", reduced, reduced.conj()).real
     concurrence = np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
@@ -118,10 +119,9 @@ def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
 
 
 def _scan_chunk(args) -> dict:
-    cfg, start, stop = args
+    cfg, edges, start, stop = args
     amps = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, start, stop - start)
     gamma, conc = batch_gamma_concurrence(amps)
-    edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
     hist, _ = np.histogram(np.clip(conc, 0.0, CONCURRENCE_MAX), bins=edges)
     local_arg = int(np.argmax(gamma))
     viol = np.nonzero(gamma > 1.0 + VIOLATION_TOL)[0]
@@ -148,7 +148,8 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     histogram_bins); the worker count only affects wall time.  The seed
     lies in [0, 2**64); ScanConfig rejects any other value.
     """
-    tasks = [(cfg, start, min(start + CHUNK, cfg.n_samples))
+    edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
+    tasks = [(cfg, edges, start, min(start + CHUNK, cfg.n_samples))
              for start in range(0, cfg.n_samples, CHUNK)]
     if cfg.workers == 1 or len(tasks) == 1:
         parts = [_scan_chunk(t) for t in tasks]
@@ -180,7 +181,6 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         logger.warning("%d sample(s) exceeded gamma = 1: conjecture counterexample candidates",
                        violation_count)
 
-    edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
     histogram = [(float(edges[i]), float(edges[i + 1]), int(hist[i]))
                  for i in range(cfg.histogram_bins)]
 
@@ -217,12 +217,8 @@ def table_rows(cfg: ScanConfig, k: int, decimals: int = 2) -> list:
     gamma, _ = batch_gamma_concurrence(amps)
     rows = []
     for i in range(k):
-        row = []
-        for a in amps[i]:
-            row.append(round(float(a.real), decimals))
-            row.append(round(float(a.imag), decimals))
-        row.append(round(float(gamma[i]), decimals))
-        rows.append(row)
+        row = [round(x, decimals) for pair in _to_pairs(amps[i]) for x in pair]
+        rows.append(row + [round(float(gamma[i]), decimals)])
     return rows
 
 

@@ -1,17 +1,21 @@
 """Two-qudit states: pure vectors, density matrices, named qutrit families,
-and seeded random pure-state samplers.
+their state-file format, and the seeded random pure-state sampler.
 
 Index convention: the amplitude vector of a bipartite pure state is ordered
 row-major by (m, k), with m the first-party index (outer) and k the
 second-party index (inner).  The computational-basis coefficient tensor of a
 density matrix follows the same convention: ``coefficients()[m, m2, k, k2]``
 is the matrix element between |m k> and |m2 k2> (all indices 0-based).
+State files hold these arrays as row-major ``[re, im]`` pairs, decoded only by
+``_from_pairs`` (through ``_read_state`` for state files) and written only by
+``_to_pairs``; ``sample_pure_state`` is a batch of one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
@@ -52,6 +56,12 @@ def physicality_residuals(matrix) -> dict:
     }
 
 
+def norm_residuals(amplitudes) -> dict:
+    """Normalization residual of an amplitude vector, and whether it is within NORM_TOL."""
+    deviation = float(abs(np.sum(np.abs(amplitudes) ** 2) - 1.0))
+    return {"norm_deviation": deviation, "valid": deviation <= NORM_TOL}
+
+
 def require_physical(matrix, name: str) -> None:
     """Raise StateInvariantError unless ``matrix`` is Hermitian, trace-one and PSD."""
     res = physicality_residuals(matrix)
@@ -71,14 +81,12 @@ class PureState:
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 2 or any(d < 2 for d in dims):
-            raise ValueError(f"dims must be two factors >= 2, got {dims}")
+        dims = _check_dims(self.dims)
         if amps.shape != (dims[0] * dims[1],):
             raise ValueError(f"amplitude vector of length {amps.shape} does not match dims {dims}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise StateInvariantError(f"state is not normalized: sum |psi|^2 = {norm_sq!r}")
+        res = norm_residuals(amps)
+        if not res["valid"]:
+            raise StateInvariantError(f"state is not normalized: off by {res['norm_deviation']!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -97,15 +105,7 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
     def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PureState":
-        pairs = np.asarray(data["amplitudes"], dtype=float)
-        return cls(pairs[:, 0] + 1j * pairs[:, 1], tuple(data["dims"]))
+        return {"dims": list(self.dims), "amplitudes": _to_pairs(self.amplitudes)}
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = np.ascontiguousarray(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _check_dims(self.dims)
         n = dims[0] * dims[1]
         if rho.shape != (n, n):
             raise ValueError(f"matrix shape {rho.shape} does not match dims {dims}")
@@ -135,27 +135,47 @@ class DensityMatrix:
         return self.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
 
     def to_json(self) -> dict:
-        flat = self.matrix.reshape(-1)
-        return {
-            "dims": list(self.dims),
-            "matrix": [[float(x.real), float(x.imag)] for x in flat],
-        }
+        return {"dims": list(self.dims), "matrix": _to_pairs(self.matrix)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DensityMatrix":
-        dims = tuple(data["dims"])
-        n = dims[0] * dims[1]
-        pairs = np.asarray(data["matrix"], dtype=float)
-        return cls((pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n), dims)
+
+def _check_dims(dims) -> tuple:
+    if not (isinstance(dims, (list, tuple)) and len(dims) == 2
+            and all(isinstance(d, numbers.Integral) and d >= 2 for d in dims)):
+        raise ValueError(f"dims must be two factors >= 2, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
+def _to_pairs(values) -> list:
+    return [[float(x.real), float(x.imag)] for x in np.ravel(values)]
+
+
+def _from_pairs(pairs, shape: tuple) -> np.ndarray:
+    """The complex array of ``shape`` from a row-major list of [re, im]
+    pairs; raises ValueError unless there is exactly one finite pair per entry."""
+    try:
+        pairs = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        pairs = None
+    if pairs is None or pairs.shape != (math.prod(shape), 2) or not np.isfinite(pairs).all():
+        raise ValueError(f"expected a list of {math.prod(shape)} [re, im] pairs of finite numbers")
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape)
+
+
+def _read_state(data) -> tuple:
+    """(dims, entries) of a state dict: an amplitude vector or a square matrix, unchecked."""
+    if not (isinstance(data, dict) and ("amplitudes" in data or "matrix" in data)):
+        raise ValueError("state JSON must contain either 'amplitudes' or 'matrix'")
+    dims = _check_dims(data.get("dims"))
+    n = dims[0] * dims[1]
+    if "amplitudes" in data:
+        return dims, _from_pairs(data["amplitudes"], (n,))
+    return dims, _from_pairs(data["matrix"], (n, n))
 
 
 def state_from_json(data: dict) -> Union[PureState, DensityMatrix]:
-    """Deserialize a state dict, dispatching on the 'amplitudes'/'matrix' key."""
-    if "amplitudes" in data:
-        return PureState.from_json(data)
-    if "matrix" in data:
-        return DensityMatrix.from_json(data)
-    raise ValueError("state JSON must contain either 'amplitudes' or 'matrix'")
+    """Deserialize a state dict: a PureState from 'amplitudes', else a DensityMatrix."""
+    dims, entries = _read_state(data)
+    return (PureState if entries.ndim == 1 else DensityMatrix)(entries, dims)
 
 
 def pure_to_density(psi: PureState) -> DensityMatrix:
@@ -424,10 +444,7 @@ def _load_qutrit_matrix(path):
         return np.eye(3) / 3
     with open(path) as fh:
         data = json.load(fh)
-    pairs = np.asarray(data["matrix"], dtype=float)
-    if pairs.shape != (9, 2):
-        raise ValueError("single-qutrit factor needs 9 (re, im) matrix entries")
-    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(3, 3)
+    return _from_pairs(data.get("matrix") if isinstance(data, dict) else None, (3, 3))
 
 
 @dataclass(frozen=True)
@@ -453,8 +470,8 @@ class Product(Family):
 
     @classmethod
     def from_flags(cls, path_a, path_b) -> "Product":
-        """Factors read from JSON files of 9 (re, im) matrix entries; no
-        path gives the maximally mixed qutrit."""
+        """Factors read from JSON files holding a 'matrix' of 9 [re, im]
+        pairs ('dims' is not read); no path gives the maximally mixed qutrit."""
         return cls(_load_qutrit_matrix(path_a), _load_qutrit_matrix(path_b))
 
     def state(self) -> DensityMatrix:
@@ -544,36 +561,18 @@ def keyed_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_amplitudes(rng: np.random.Generator, n: int, sampler: str) -> np.ndarray:
-    if sampler == "uniform":
-        # real and imaginary parts uniform on [0, 1); all amplitudes lie in
-        # the closed first quadrant before (and after) normalization
-        x = rng.random((n, 2))
-    elif sampler == "haar":
-        # independent standard complex Gaussians; invariant under rotations,
-        # hence uniform on the unit sphere after normalization
-        x = rng.standard_normal((n, 2))
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
-    return x[:, 0] + 1j * x[:, 1]
-
-
 def sample_pure_state(dims=(3, 3), sampler: str = "uniform",
                       seed: int = 0, index: int = 0) -> PureState:
-    """Draw one random normalized pure state, determined by (seed, index)."""
-    n = int(dims[0]) * int(dims[1])
-    amps = _draw_amplitudes(keyed_generator(seed, index), n, sampler)
-    # normalization spelled exactly as in sample_amplitude_batch so the two
-    # paths agree bit for bit
-    amps /= np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
-    return PureState(amps, tuple(dims))
+    """Draw one random normalized pure state, determined by (seed, index):
+    row 0 of ``sample_amplitude_batch`` started at ``index``."""
+    return PureState(sample_amplitude_batch(dims, sampler, seed, index, 1)[0], tuple(dims))
 
 
 def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int) -> np.ndarray:
     """Normalized amplitude rows for sample indices start .. start+count-1.
 
-    Row i equals ``sample_pure_state(dims, sampler, seed, start + i)``
-    bit for bit; the batch path only avoids per-sample generator setup.
+    Row i is sample start + i bit for bit in any batch; this is the one
+    path from (seed, index) to a sample.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
@@ -584,7 +583,12 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     n = int(dims[0]) * int(dims[1])
     bitgen = np.random.Philox(key=[0, 0])
     rng = np.random.Generator(bitgen)
-    out = np.empty((count, n), dtype=complex)
+    # uniform: real and imaginary parts uniform on [0, 1); all amplitudes lie
+    # in the closed first quadrant before (and after) normalization.  haar:
+    # independent standard complex Gaussians; invariant under rotations,
+    # hence uniform on the unit sphere after normalization.
+    draw = rng.random if sampler == "uniform" else rng.standard_normal
+    pairs = np.empty((count * n, 2))  # [re, im] of each amplitude, n rows per sample
     for i in range(count):
         state = bitgen.state
         state["state"]["key"][:] = (seed, start + i)
@@ -593,6 +597,7 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
         state["has_uint32"] = 0
         state["uinteger"] = 0
         bitgen.state = state
-        out[i] = _draw_amplitudes(rng, n, sampler)
+        draw(out=pairs[i * n:(i + 1) * n])
+    out = _from_pairs(pairs, (count, n))
     out /= np.sqrt(np.sum(out.real ** 2 + out.imag ** 2, axis=1, keepdims=True))
     return out

@@ -85,6 +85,29 @@ class TestGamma:
         assert main(["gamma", "--state-file", str(path)]) == 1
         path2 = write_json(tmp_path / "empty.json", {"dims": [3, 3]})
         assert main(["gamma", "--state-file", path2]) == 1
+        zero = [[0.0, 0.0]] * 8
+        malformed = {
+            "flat_list": {"dims": [3, 3], "amplitudes": [1, 0, 0, 0, 0, 0, 0, 0, 0]},
+            "one_dim": {"dims": [3], "amplitudes": [[1.0, 0.0]] + zero},
+            "one_dim_matrix": {"dims": [3], "matrix": [[1.0, 0.0]] + [[0.0, 0.0]] * 80},
+            "triples": {"dims": [3, 3], "amplitudes": [[1.0, 0.0, 5.0]] + [[0.0, 0.0, 0.0]] * 8},
+            "too_few": {"dims": [3, 3], "amplitudes": [[0.5, 0.0]] * 4},
+            "no_dims": {"amplitudes": [[1.0, 0.0]] + zero},
+            "not_numbers": {"dims": [3, 3], "amplitudes": [[{}, 0.0]] + zero},
+            "null_entry": {"dims": [3, 3], "amplitudes": [[1.0, None]] + zero},
+            "not_an_object": [[1.0, 0.0]] + zero,
+        }
+        for name, payload in malformed.items():
+            bad = write_json(tmp_path / f"{name}.json", payload)
+            for command in ("gamma", "validate"):
+                capsys.readouterr()
+                assert main([command, "--state-file", bad]) == 1, (command, name)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, name, err)
+        for name, payload in (("short", {"matrix": [[1.0, 0.0]] * 4}), ("list", [[1.0, 0.0]] * 9)):
+            factor = write_json(tmp_path / f"factor_{name}.json", payload)
+            assert main(["gamma", "--family", "product", "--state-a", factor]) == 1, name
+            assert capsys.readouterr().err.startswith("error: "), name
 
     def test_invariant_failure_exit_2(self, capsys, tmp_path):
         matrix = [[0.0, 0.0]] * 81

@@ -86,6 +86,13 @@ class TestRunScan:
         gamma, _ = batch_gamma_concurrence(amps)
         assert gamma.max() <= math.sqrt(2) + 1e-9
 
+    def test_kernel_rejects_gamma_above_tsirelson(self):
+        # unnormalized rows: GHZ scaled by 2 has gamma = 4 sqrt(8/9) = 3.77
+        ghz = np.full((3, 9), 0.0, dtype=complex)
+        ghz[:, [0, 4, 8]] = 2 / math.sqrt(3)
+        with pytest.raises(ValueError, match="quantum cap"):
+            batch_gamma_concurrence(ghz)
+
     def test_haar_scan_no_violations(self):
         report = run_scan(ScanConfig(n_samples=2000, sampler="haar", seed=8))
         assert report.violation_count == 0

@@ -232,6 +232,23 @@ class TestSampling:
             single = sample_pure_state((3, 3), sampler, seed=21, index=10 + i)
             assert np.array_equal(batch[i], single.amplitudes)
 
+    # first and last amplitude as (re, im) hex floats; the scan, the CLI and
+    # every regenerated argmax state rest on this stream
+    @pytest.mark.parametrize("sampler, seed, index, first, last", [
+        ("uniform", 0, 0, ("0x1.5116693b501e4p-8", "0x1.b8b9c8acf7122p-4"),
+         ("0x1.fdd74b969b495p-4", "0x1.367ffb799a79ap-4")),
+        ("uniform", 2 ** 63 + 5, 17, ("0x1.daec51076b455p-3", "0x1.61804945c27f9p-2"),
+         ("0x1.e415bd30385c1p-3", "0x1.1b3ba6c1e8bcep-3")),
+        ("haar", 0, 0, ("0x1.1c378f0e21e3fp-5", "-0x1.8bb0f63fa7b4ap-2"),
+         ("-0x1.0cd7671848482p-4", "-0x1.54be26b59d235p-3")),
+        ("haar", 2 ** 64 - 1, 2 ** 64 - 1, ("0x1.3015a644f4402p-3", "-0x1.1712f87cf2cc7p-2"),
+         ("-0x1.55fbbad2740a4p-2", "-0x1.35aecf6e1917ap-3")),
+    ])
+    def test_pinned_bits(self, sampler, seed, index, first, last):
+        amps = sample_pure_state((3, 3), sampler, seed, index).amplitudes
+        for a, (re, im) in ((amps[0], first), (amps[8], last)):
+            assert (a.real, a.imag) == (float.fromhex(re), float.fromhex(im))
+
     def test_haar_marginal_statistics(self):
         """Mean of |psi_11|^2 sits within 3 standard errors of 1/9."""
         n = 10_000
