@@ -21,7 +21,7 @@ from .scan import (ScanConfig, ScanReport, run_scan, table_rows,
                    write_histogram_csv, write_sample_rows_csv)
 from .spin import (SpinOperators, spin_operators, spin_projection,
                    validate_spin_algebra)
-from .states import (Antisym, DensityMatrix, Example1, Example2, FamilySpec,
+from .states import (Antisym, DensityMatrix, Example1, Example2,
                      GHZ3, Horodecki, Product, PureState, StateInvariantError,
                      Sym, Werner, family_pure, family_state, mix,
                      pure_to_density, sample_pure_state, state_from_json,
@@ -33,7 +33,7 @@ __all__ = [
     "PureState", "DensityMatrix", "StateInvariantError", "state_from_json",
     "pure_to_density", "mix", "swap_operator",
     "Antisym", "Sym", "GHZ3", "Werner", "Horodecki", "Example1", "Example2",
-    "Product", "FamilySpec", "family_state", "family_pure", "sample_pure_state",
+    "Product", "family_state", "family_pure", "sample_pure_state",
     "CorrelationMatrix", "ChshAnalysis", "MeasurementSetting",
     "correlation_matrix_trace", "correlation_matrix_coeff",
     "correlation_from_coefficients", "chsh_analysis", "chsh_expectation",

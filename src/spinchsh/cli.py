@@ -156,8 +156,9 @@ def _cmd_scan(args) -> int:
     if args.hist_out:
         write_histogram_csv(args.hist_out, report)
     if args.rows_out:
-        write_sample_rows_csv(args.rows_out, table_rows(cfg, min(args.rows, cfg.n_samples),
-                                                        decimals=args.decimals or 2))
+        rows = table_rows(cfg, min(args.rows, cfg.n_samples),
+                          decimals=2 if args.decimals is None else args.decimals)
+        write_sample_rows_csv(args.rows_out, rows)
     print(f"max_gamma={_round_floats(report.max_gamma, args.decimals)} "
           f"violation_count={report.violation_count}")
     return 0

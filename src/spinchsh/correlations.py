@@ -27,7 +27,7 @@ import numpy as np
 
 from .entanglement import analytic_concurrence
 from .spin import INPUT_TOL, SpinOperators, spin_projection
-from .states import DensityMatrix, FamilySpec, family_of
+from .states import DensityMatrix, Family, family_of
 
 # Imaginary parts of correlation traces must vanish for physical states.
 IMAG_TOL = 1e-10
@@ -55,11 +55,7 @@ class CorrelationMatrix:
         if m.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {m.shape}")
         if self.s == 1.0:
-            top = math.sqrt(max(np.linalg.eigvalsh(m.T @ m)[2], 0.0))
-            if top > 1.0 + NORM_CAP_TOL:
-                raise ValueError(
-                    f"spin-1 correlation matrix has operator norm {top} > 1; "
-                    "no physical two-qutrit state produces this")
+            check_norm_cap(np.linalg.eigvalsh(m.T @ m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -183,6 +179,16 @@ def top_two_root(gram_eigenvalues: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(ev[..., 2], 0.0, None) + np.clip(ev[..., 1], 0.0, None))
 
 
+def check_norm_cap(gram_eigenvalues) -> None:
+    """Raise ValueError if a spin-1 correlation matrix Z has operator norm
+    above 1 anywhere; input is the ascending eigenvalue array of Z^T Z,
+    batched over leading axes."""
+    top = math.sqrt(float(np.max(gram_eigenvalues[..., 2], initial=0.0)))
+    if top > 1.0 + NORM_CAP_TOL:
+        raise ValueError(f"spin-1 correlation matrix has operator norm {top} > 1; "
+                         "no physical two-qutrit state produces this")
+
+
 def check_tsirelson(gamma) -> None:
     """Raise ValueError if gamma (a float or an array) exceeds the cap sqrt(2) anywhere."""
     top = float(np.max(gamma, initial=0.0))
@@ -228,7 +234,7 @@ def chsh_expectation(rho: DensityMatrix, setting: MeasurementSetting,
 # Closed forms for the named families (spin-1 measurements)
 # ---------------------------------------------------------------------------
 
-def analytic_gamma(spec: FamilySpec) -> float:
+def analytic_gamma(spec: Family) -> float:
     """Closed-form spin-1 CHSH parameter of a named family member.
 
     The formula is the family's ``gamma()``; see ``states.FAMILIES``.

@@ -19,7 +19,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .correlations import VIOLATION_TOL, check_tsirelson, correlation_from_coefficients, top_two_root
+from .correlations import (VIOLATION_TOL, check_norm_cap, check_tsirelson,
+                           correlation_from_coefficients, top_two_root)
 from .states import (SAMPLERS, PureState, _to_pairs, check_key,
                      sample_amplitude_batch, sample_pure_state)
 
@@ -103,7 +104,8 @@ def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
     for near-product states, where ``concurrence_pure`` uses the exact
     pairwise Schmidt form.  The two stay apart because switching this
     kernel would change the bytes of every scan report.  A gamma above the
-    quantum cap sqrt(2) raises ValueError, as in ``chsh_analysis``.
+    quantum cap sqrt(2), or a correlation matrix of operator norm above 1,
+    raises ValueError, as ``chsh_analysis`` and ``CorrelationMatrix`` do.
     """
     b = amplitudes.shape[0]
     a = amplitudes.reshape(b, 3, 3)
@@ -112,6 +114,7 @@ def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
     ev = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", z, z))
     gamma = top_two_root(ev)
     check_tsirelson(gamma)
+    check_norm_cap(ev)
     reduced = np.einsum("bij,bkj->bik", a, a.conj())
     purity = np.einsum("bik,bik->b", reduced, reduced.conj()).real
     concurrence = np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
@@ -125,17 +128,13 @@ def _scan_chunk(args) -> dict:
     hist, _ = np.histogram(np.clip(conc, 0.0, CONCURRENCE_MAX), bins=edges)
     local_arg = int(np.argmax(gamma))
     viol = np.nonzero(gamma > 1.0 + VIOLATION_TOL)[0]
-    rows = []
-    if start < SAMPLE_ROW_COUNT:
-        take = min(stop, SAMPLE_ROW_COUNT) - start
-        rows = [(amps[i].copy(), float(gamma[i])) for i in range(take)]
     return {
         "max_gamma": float(gamma[local_arg]),
         "argmax_index": start + local_arg,
-        "violation_count": int(viol.size),
         "violation_pairs": [(start + int(i), float(gamma[i])) for i in viol],
         "hist": hist,
-        "rows": rows,
+        "rows": [(amps[i].copy(), float(gamma[i]))  # none past the leading samples
+                 for i in range(min(stop, SAMPLE_ROW_COUNT) - start)],
         "min_concurrence": float(conc.min()),
         "low_concurrence_count": int((conc <= LOW_CONCURRENCE).sum()),
     }
@@ -157,29 +156,16 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         with Pool(processes=cfg.workers) as pool:
             parts = pool.map(_scan_chunk, tasks)
 
-    max_gamma, argmax_index = -1.0, -1
-    violation_count = 0
-    violation_pairs = []
-    hist = np.zeros(cfg.histogram_bins, dtype=np.int64)
-    rows = []
-    min_conc = math.inf
-    low_conc = 0
-    for part in parts:  # chunk order fixed by construction
-        if part["max_gamma"] > max_gamma:
-            max_gamma, argmax_index = part["max_gamma"], part["argmax_index"]
-        violation_count += part["violation_count"]
-        violation_pairs.extend(part["violation_pairs"])
-        hist += part["hist"]
-        rows.extend(part["rows"])
-        min_conc = min(min_conc, part["min_concurrence"])
-        low_conc += part["low_concurrence_count"]
-
+    best = max(parts, key=lambda part: part["max_gamma"])  # first maximum in chunk order
+    violation_pairs = [pair for part in parts for pair in part["violation_pairs"]]
+    hist = sum(part["hist"] for part in parts)
+    low_conc = sum(part["low_concurrence_count"] for part in parts)
     if low_conc:
         logger.warning("%d sample(s) had concurrence <= %.0e (near-product states)",
                        low_conc, LOW_CONCURRENCE)
-    if violation_count:
+    if violation_pairs:
         logger.warning("%d sample(s) exceeded gamma = 1: conjecture counterexample candidates",
-                       violation_count)
+                       len(violation_pairs))
 
     histogram = [(float(edges[i]), float(edges[i + 1]), int(hist[i]))
                  for i in range(cfg.histogram_bins)]
@@ -193,13 +179,13 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         n_samples=cfg.n_samples,
         sampler=cfg.sampler,
         seed=cfg.seed,
-        max_gamma=max_gamma,
-        argmax_index=argmax_index,
-        argmax_state=regenerate(argmax_index),
-        violation_count=violation_count,
+        max_gamma=best["max_gamma"],
+        argmax_index=best["argmax_index"],
+        argmax_state=regenerate(best["argmax_index"]),
+        violation_count=len(violation_pairs),
         histogram=histogram,
-        sample_rows=rows,
-        min_concurrence=min_conc,
+        sample_rows=[row for part in parts for row in part["rows"]],
+        min_concurrence=min(part["min_concurrence"] for part in parts),
         low_concurrence_count=low_conc,
         violations=violations,
     )

@@ -91,15 +91,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def normalized(cls, amplitudes, dims=(3, 3)) -> "PureState":
-        """Normalize an amplitude vector and wrap it."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm, tuple(dims))
-
     def matrix_form(self) -> np.ndarray:
         """Amplitudes as a (d_A, d_B) matrix: row = first party, column = second."""
         return self.amplitudes.reshape(self.dims)
@@ -507,10 +498,8 @@ FAMILIES = {"antisym": Antisym, "sym": Sym, "ghz3": GHZ3, "werner": Werner,
             "horodecki": Horodecki, "example1": Example1, "example2": Example2,
             "product": Product}
 
-FamilySpec = Family
 
-
-def family_of(spec: FamilySpec) -> type:
+def family_of(spec: Family) -> type:
     """The FAMILIES entry (the class) of a family member; raises for anything else."""
     family = type(spec)
     if family not in FAMILIES.values():
@@ -518,7 +507,7 @@ def family_of(spec: FamilySpec) -> type:
     return family
 
 
-def family_pure(spec: FamilySpec) -> PureState:
+def family_pure(spec: Family) -> PureState:
     """State vector of a pure family member; raises for mixed families."""
     family = family_of(spec)
     if not family.pure:
@@ -526,7 +515,7 @@ def family_pure(spec: FamilySpec) -> PureState:
     return family.state(spec)
 
 
-def family_state(spec: FamilySpec) -> DensityMatrix:
+def family_state(spec: Family) -> DensityMatrix:
     """Density matrix of any named family member."""
     family = family_of(spec)
     if family.pure:
@@ -540,9 +529,11 @@ def family_state(spec: FamilySpec) -> DensityMatrix:
 #
 # Reproducibility contract: sample number i of a run seeded with `seed` is a
 # pure function of the pair (seed, i).  The pair keys a Philox-4x64 counter
-# based generator, so samples are independent of batching, ordering and
-# worker count.  Seeds and indices outside [0, 2**64) are rejected rather
-# than wrapped, so no two seeds name the same stream.
+# based generator: each sample is drawn from the state Philox(key=(seed, i))
+# starts in, assigned whole through numpy's documented ``state`` setter, so
+# samples are independent of batching, ordering and worker count.  Seeds and
+# indices outside [0, 2**64) are rejected rather than wrapped, so no two
+# seeds name the same stream.
 
 def check_key(name: str, value: int) -> int:
     """``value`` as one 64-bit word of a Philox key (a seed or a sample
@@ -590,13 +581,12 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     draw = rng.random if sampler == "uniform" else rng.standard_normal
     pairs = np.empty((count * n, 2))  # [re, im] of each amplitude, n rows per sample
     for i in range(count):
-        state = bitgen.state
-        state["state"]["key"][:] = (seed, start + i)
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bitgen.state = state
+        # the state Philox(key=(seed, start + i)) starts in
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"key": np.array([seed, start + i], dtype=np.uint64),
+                                  "counter": np.zeros(4, dtype=np.uint64)},
+                        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
         draw(out=pairs[i * n:(i + 1) * n])
     out = _from_pairs(pairs, (count, n))
     out /= np.sqrt(np.sum(out.real ** 2 + out.imag ** 2, axis=1, keepdims=True))

@@ -202,6 +202,16 @@ class TestScan:
             sample_rows = list(csv.reader(fh))
         assert len(sample_rows) == 8
 
+    def test_rows_out_decimals_zero(self, capsys, tmp_path):
+        rows = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "--decimals", "0", "scan", "--n", "5",
+                          "--rows", "2", "--rows-out", str(rows))
+        assert code == 0
+        with open(rows) as fh:
+            values = [v for row in list(csv.reader(fh))[1:] for v in row]
+        assert len(values) == 2 * 19
+        assert set(values) <= {"0.0", "1.0"}
+
     def test_workers_flag_matches_serial(self, capsys):
         _, out1 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "1")
         _, out2 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "2")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spinchsh import (ScanConfig, ScanReport, chsh_analysis,
+from spinchsh import (CorrelationMatrix, ScanConfig, ScanReport, chsh_analysis,
                       correlation_matrix_coeff, concurrence_pure, mix,
                       pure_to_density, run_scan, sample_pure_state,
                       table_rows, write_histogram_csv, write_sample_rows_csv)
@@ -92,6 +92,17 @@ class TestRunScan:
         ghz[:, [0, 4, 8]] = 2 / math.sqrt(3)
         with pytest.raises(ValueError, match="quantum cap"):
             batch_gamma_concurrence(ghz)
+
+    def test_kernel_rejects_norm_above_one(self):
+        # 1.1 |11> has Z = diag(0, 0, 1.21): gamma 1.21 passes the Tsirelson
+        # cap, but no state has a spin-1 correlation matrix of norm above 1
+        rows = np.zeros((2, 9), dtype=complex)
+        rows[0, [0, 4, 8]] = 1 / math.sqrt(3)
+        rows[1, 0] = 1.1
+        with pytest.raises(ValueError, match="operator norm"):
+            batch_gamma_concurrence(rows)
+        with pytest.raises(ValueError, match="operator norm"):
+            CorrelationMatrix(np.diag([1.21, 0.0, 0.0]), s=1.0)
 
     def test_haar_scan_no_violations(self):
         report = run_scan(ScanConfig(n_samples=2000, sampler="haar", seed=8))

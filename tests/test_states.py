@@ -249,6 +249,24 @@ class TestSampling:
         for a, (re, im) in ((amps[0], first), (amps[8], last)):
             assert (a.real, a.imag) == (float.fromhex(re), float.fromhex(im))
 
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    @pytest.mark.parametrize("seed, index", [
+        (0, 0), (2 ** 63 + 5, 3), (7, 2 ** 63 + 9), (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_batch_rows_match_numpy_keyed_philox(self, sampler, seed, index):
+        # reference: numpy's own Philox(key=(seed, i)), drawn into [re, im]
+        # pairs and normalized as the sampler does; the batch spans up to two
+        # samples either side of index, so row 0 is not always the key
+        start = index - min(index, 2)
+        count = min(index + 2, 2 ** 64 - 1) - start + 1
+        batch = sample_amplitude_batch((3, 3), sampler, seed, start, count)
+        assert batch.shape == (count, 9)
+        for i, row in enumerate(batch):
+            rng = keyed_generator(seed, start + i)
+            pairs = rng.random((9, 2)) if sampler == "uniform" else rng.standard_normal((9, 2))
+            amps = pairs[:, 0] + 1j * pairs[:, 1]
+            amps /= np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
+            assert np.array_equal(row, amps)
+
     def test_haar_marginal_statistics(self):
         """Mean of |psi_11|^2 sits within 3 standard errors of 1/9."""
         n = 10_000
