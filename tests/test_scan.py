@@ -1,8 +1,11 @@
 """Monte Carlo harness: determinism, reductions, table rows, serialization."""
 
+import ast
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +158,58 @@ class TestRunScan:
             ScanConfig(n_samples=10, histogram_bins=0)
         with pytest.raises(ValueError):
             ScanConfig(n_samples=10, workers=0)
+
+
+def report_digest(report) -> str:
+    """SHA-256 of the report's JSON form, the digest the benchmark pins."""
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def benchmark_constants(*names) -> dict:
+    """Literal module-level constants of perfbench/scan_workloads.py, read
+    without importing it (it imports the benchmark's tracer)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scan_workloads.py"
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                found[target.id] = ast.literal_eval(node.value)
+    return found
+
+
+class TestReportDigests:
+    """Scan reports pinned byte for byte.  The bits of gamma come from the
+    LAPACK build numpy ships, so the digests hold for the numpy version that
+    wrote them; on any other version the test skips."""
+
+    NUMPY_VERSION = "2.4.6"
+    # 3 full chunks and a partial one, on a seed above 2**63
+    PARTIAL_SEED = 2 ** 63 + 5
+    PARTIAL_DIGEST = {
+        "uniform": "4d2d032807d7b738190639f3e6d9b7196dd375239f6ee0a02cbbe61471512584",
+        "haar": "9899482adda242742a949848bd78bec6c6cc323d7b71e66f746daae80ca7472b",
+    }
+
+    @pytest.fixture(autouse=True)
+    def _same_numpy(self):
+        if np.__version__ != self.NUMPY_VERSION:
+            pytest.skip(f"digests written with numpy {self.NUMPY_VERSION}, "
+                        f"running {np.__version__}")
+
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    def test_benchmark_reference_scan(self, sampler):
+        ref = benchmark_constants("REFERENCE_SEED", "REFERENCE_STATES", "REFERENCE_DIGEST")
+        report = run_scan(ScanConfig(n_samples=ref["REFERENCE_STATES"], sampler=sampler,
+                                     seed=ref["REFERENCE_SEED"]))
+        assert report_digest(report) == ref["REFERENCE_DIGEST"][sampler]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    def test_partial_last_chunk(self, sampler, workers):
+        report = run_scan(ScanConfig(n_samples=3 * CHUNK + 77, sampler=sampler,
+                                     seed=self.PARTIAL_SEED, workers=workers))
+        assert report_digest(report) == self.PARTIAL_DIGEST[sampler]
 
 
 class TestMixtureSpotCheck:
