@@ -149,6 +149,9 @@ def _cmd_scan(args) -> int:
     sampler = {"paper": "uniform"}.get(args.sampler, args.sampler)
     cfg = ScanConfig(n_samples=args.n, sampler=sampler, seed=args.seed,
                      histogram_bins=args.hist_bins, workers=args.workers)
+    if args.rows_out:  # before the scan, so that a bad --rows fails at once
+        rows = table_rows(cfg, min(args.rows, cfg.n_samples),
+                          decimals=2 if args.decimals is None else args.decimals)
     report = run_scan(cfg)
     if args.report_out:
         with open(args.report_out, "w") as fh:
@@ -156,8 +159,6 @@ def _cmd_scan(args) -> int:
     if args.hist_out:
         write_histogram_csv(args.hist_out, report)
     if args.rows_out:
-        rows = table_rows(cfg, min(args.rows, cfg.n_samples),
-                          decimals=2 if args.decimals is None else args.decimals)
         write_sample_rows_csv(args.rows_out, rows)
     print(f"max_gamma={_round_floats(report.max_gamma, args.decimals)} "
           f"violation_count={report.violation_count}")

@@ -37,6 +37,11 @@ LOW_CONCURRENCE = 1e-6
 VIOLATION_RECORD_CAP = 100
 # Number of leading samples kept verbatim in the report.
 SAMPLE_ROW_COUNT = 50
+# Coefficient blocks (m, p) that correlation_from_coefficients reads.
+Z_BLOCKS = ((0, 1), (1, 0), (1, 2), (2, 1), (0, 0), (1, 1), (2, 2))
+# Relative widening of the kernel's two bounds on gamma; float round-off in
+# ||Z||_F^2, det Z and eigvalsh is near 1e-15.
+SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,34 +102,74 @@ class ScanReport:
         }
 
 
-def batch_gamma_concurrence(amplitudes: np.ndarray) -> tuple:
+def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None = None) -> tuple:
     """(gamma, concurrence) arrays for a batch of normalized amplitude rows.
 
-    Concurrence here is sqrt(2 (1 - purity)), which bottoms out near 1e-8
-    for near-product states, where ``concurrence_pure`` uses the exact
-    pairwise Schmidt form.  The two stay apart because switching this
-    kernel would change the bytes of every scan report.  A gamma above the
-    quantum cap sqrt(2), or a correlation matrix of operator norm above 1,
-    raises ValueError, as ``chsh_analysis`` and ``CorrelationMatrix`` do.
+    With ``keep_leading=None`` (the default) every gamma is exact.  With a
+    non-negative int, only the rows a scan reduction can read are exact:
+    every row that may hold the batch maximum, every row with gamma > 1 or a
+    correlation matrix Z of norm above 1, every row with a non-finite Z, and
+    the first ``keep_leading`` rows.  Every other row holds -inf.  The
+    screen rests on two bounds that hold in exact arithmetic, each widened
+    by the relative margin SCREEN_MARGIN to cover round-off:
+    gamma <= ||Z||_F, and gamma^2 >= ||Z||_F^2 - |det Z|^(2/3), since the
+    smallest eigenvalue of Z^T Z is at most the cube root of its
+    determinant det(Z)^2.
+
+    Concurrence, exact for every row, is sqrt(2 (1 - purity)), which
+    bottoms out near 1e-8 for near-product states, where
+    ``concurrence_pure`` uses the exact pairwise Schmidt form.  The two stay
+    apart because switching this kernel would change the bytes of every
+    scan report.  A gamma above the quantum cap sqrt(2), or a correlation
+    matrix of operator norm above 1, raises ValueError, as ``chsh_analysis``
+    and ``CorrelationMatrix`` do; a row the screen drops can breach neither.
     """
     b = amplitudes.shape[0]
     a = amplitudes.reshape(b, 3, 3)
-    zeta = np.einsum("bmk,bpq->bmpkq", a, a.conj())
-    z = correlation_from_coefficients(zeta)
-    ev = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", z, z))
-    gamma = top_two_root(ev)
+    ac = a.conj()
+    z = correlation_from_coefficients(_coefficient_tensor(a, ac))
+    keep = slice(None) if keep_leading is None else _screen(z, keep_leading)
+    kept = z[keep]
+    ev = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", kept, kept))
+    gamma = np.full(b, -np.inf)
+    gamma[keep] = top_two_root(ev)
     check_tsirelson(gamma)
     check_norm_cap(ev)
-    reduced = np.einsum("bij,bkj->bik", a, a.conj())
+    reduced = np.einsum("bij,bkj->bik", a, ac)
     purity = np.einsum("bik,bik->b", reduced, reduced.conj()).real
     concurrence = np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
     return gamma, concurrence
 
 
+def _coefficient_tensor(a: np.ndarray, ac: np.ndarray) -> np.ndarray:
+    """(b, 3, 3, 3, 3) coefficient tensor of (b, 3, 3) amplitudes ``a`` and
+    their conjugates ``ac``, block-major: block (m, p) is a[:, m] (x) ac[:, p],
+    built only for the Z_BLOCKS; the other blocks stay zero."""
+    zeta = np.zeros((3, 3, a.shape[0], 3, 3), dtype=complex)
+    for m, p in Z_BLOCKS:
+        np.einsum("bk,bq->bkq", a[:, m], ac[:, p], out=zeta[m, p])
+    return zeta.transpose(2, 0, 1, 3, 4)
+
+
+def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:
+    """Mask of the rows of a (b, 3, 3) batch of Z whose exact gamma a scan
+    reduction can read; see ``batch_gamma_concurrence``."""
+    f2 = np.einsum("bij,bij->b", z, z)
+    det = (z[:, 0, 0] * (z[:, 1, 1] * z[:, 2, 2] - z[:, 1, 2] * z[:, 2, 1])
+           - z[:, 0, 1] * (z[:, 1, 0] * z[:, 2, 2] - z[:, 1, 2] * z[:, 2, 0])
+           + z[:, 0, 2] * (z[:, 1, 0] * z[:, 2, 1] - z[:, 1, 1] * z[:, 2, 0]))
+    # squared bounds on gamma, each widened by at least SCREEN_MARGIN
+    upper = f2 * (1.0 + SCREEN_MARGIN) ** 2
+    lower = f2 * (1.0 - SCREEN_MARGIN) ** 2 - np.abs(det) ** (2 / 3)
+    keep = (upper >= np.max(lower, initial=-np.inf)) | (upper >= 1.0) | ~np.isfinite(f2)
+    keep[:keep_leading] = True
+    return keep
+
+
 def _scan_chunk(args) -> dict:
     cfg, edges, start, stop = args
     amps = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, start, stop - start)
-    gamma, conc = batch_gamma_concurrence(amps)
+    gamma, conc = batch_gamma_concurrence(amps, keep_leading=max(0, SAMPLE_ROW_COUNT - start))
     hist, _ = np.histogram(np.clip(conc, 0.0, CONCURRENCE_MAX), bins=edges)
     local_arg = int(np.argmax(gamma))
     viol = np.nonzero(gamma > 1.0 + VIOLATION_TOL)[0]
@@ -197,6 +242,8 @@ def table_rows(cfg: ScanConfig, k: int, decimals: int = 2) -> list:
     Each row holds the 18 amplitude components (re, im interleaved in
     row-major state order) followed by gamma, all rounded to ``decimals``.
     """
+    if k < 0:
+        raise ValueError(f"number of rows k = {k} must be >= 0")
     if k > cfg.n_samples:
         raise ValueError(f"k = {k} exceeds n_samples = {cfg.n_samples}")
     amps = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, 0, k)

@@ -626,6 +626,8 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
         raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
     check_key("seed", seed)
     check_key("index", start)
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
     if count > 0:
         check_key("index", start + count - 1)
     n = int(dims[0]) * int(dims[1])

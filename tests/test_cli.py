@@ -212,6 +212,14 @@ class TestScan:
         assert len(values) == 2 * 19
         assert set(values) <= {"0.0", "1.0"}
 
+    def test_negative_rows_exit_1_before_scanning(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code = main(["scan", "--n", "5", "--rows", "-1", "--rows-out", str(tmp_path / "rows.csv"),
+                     "--report-out", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: number of rows k = -1 must be >= 0\n"
+        assert not report.exists()
+
     def test_workers_flag_matches_serial(self, capsys):
         _, out1 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "1")
         _, out2 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "2")

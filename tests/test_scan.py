@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchsh import (CorrelationMatrix, ScanConfig, ScanReport, chsh_analysis,
+from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh_analysis,
                       correlation_matrix_coeff, concurrence_pure, mix,
                       pure_to_density, run_scan, sample_pure_state,
                       table_rows, write_histogram_csv, write_sample_rows_csv)
-from spinchsh.scan import CHUNK, CONCURRENCE_MAX, batch_gamma_concurrence
+from spinchsh.correlations import VIOLATION_TOL
+from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
 from spinchsh import scan
 from spinchsh.states import sample_amplitude_batch
 
@@ -160,6 +161,108 @@ class TestRunScan:
             ScanConfig(n_samples=10, workers=0)
 
 
+def chunk(sampler="uniform", seed=3, start=0):
+    return sample_amplitude_batch((3, 3), sampler, seed, start, CHUNK)
+
+
+def basis_row(scale, *indices):
+    """Amplitude row with ``scale / sqrt(len(indices))`` at each index."""
+    row = np.zeros(9, dtype=complex)
+    row[list(indices)] = scale / math.sqrt(len(indices))
+    return row
+
+
+def screen_matches_exact(amps, keep_leading):
+    """Screened and exact kernel on one batch: every figure a scan reduction
+    reads agrees bit for bit.  Returns (screened, exact) gamma."""
+    exact, conc = batch_gamma_concurrence(amps)
+    screened, screened_conc = batch_gamma_concurrence(amps, keep_leading=keep_leading)
+    kept = np.isfinite(screened)
+    assert np.array_equal(screened_conc, conc)
+    assert np.all(screened[~kept] == -np.inf)       # dropped rows hold -inf, never NaN
+    assert np.array_equal(screened[kept], exact[kept])
+    assert np.argmax(screened) == np.argmax(exact)
+    assert screened.max() == exact.max()
+    assert np.array_equal(np.nonzero(screened > 1 + VIOLATION_TOL)[0],
+                          np.nonzero(exact > 1 + VIOLATION_TOL)[0])
+    assert np.array_equal(screened[:keep_leading], exact[:keep_leading])
+    return screened, exact
+
+
+class TestScreenedKernel:
+    """batch_gamma_concurrence(keep_leading=k) against the exact kernel."""
+
+    @pytest.mark.parametrize("seed, start", [(0, 0), (3, 5 * CHUNK), (2 ** 63 + 5, 2 * CHUNK)])
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    def test_screen_matches_exact_on_full_chunks(self, sampler, seed, start):
+        amps = chunk(sampler, seed, start)
+        screened, _ = screen_matches_exact(amps, max(0, SAMPLE_ROW_COUNT - start))
+        assert np.isfinite(screened).sum() < CHUNK // 8   # the screen drops most rows
+
+    def test_tie_for_maximum_first_in_chunk_order(self, monkeypatch):
+        starts = (0, CHUNK, 2 * CHUNK)
+        exact = {start: batch_gamma_concurrence(chunk(seed=5, start=start))[0] for start in starts}
+        best = max(starts, key=lambda start: exact[start].max())
+        top = chunk(seed=5, start=best)[np.argmax(exact[best])]
+
+        def tied(dims, sampler, seed, start, count):   # the top row again at 7 and 900
+            amps = sample_amplitude_batch(dims, sampler, seed, start, count)
+            amps[[7, 900]] = top
+            return amps
+
+        for start in starts:
+            screened, _ = screen_matches_exact(tied((3, 3), "uniform", 5, start, CHUNK), 0)
+            assert screened[7] == screened[900] == exact[best].max()
+        monkeypatch.setattr(scan, "sample_amplitude_batch", tied)
+        report = run_scan(ScanConfig(n_samples=len(starts) * CHUNK, seed=5))
+        assert report.argmax_index == 7   # first in chunk order, though every chunk ties
+        assert report.max_gamma == exact[best].max()
+
+    def test_zero_determinant_row_has_gamma_equal_to_frobenius_norm(self):
+        amps = chunk()
+        amps[500] = basis_row(1.0, 0)   # |11>: Z = diag(0, 0, 1)
+        screened, _ = screen_matches_exact(amps, 0)
+        z = correlation_matrix_coeff(pure_to_density(PureState(amps[500], (3, 3)))).matrix
+        assert screened[500] == np.linalg.norm(z) == 1.0
+
+    def test_lower_bound_is_tight_for_equal_singular_values(self):
+        # GHZ has Z = diag(2, -2, 2) / 3, so ||Z||_F^2 - |det Z|^(2/3) is
+        # exactly gamma^2; a |11> row only 1e-6 above it must be kept
+        amps = chunk()[:1000]
+        amps[:] = basis_row(math.sqrt(0.8 / math.sqrt(8 / 9)), 0, 4, 8)   # gamma 0.8
+        amps[600] = basis_row(math.sqrt(0.8 * (1 + 1e-6)), 0)
+        screened, _ = screen_matches_exact(amps, 0)
+        assert np.argmax(screened) == 600
+
+    def test_rows_with_norm_just_above_one_kept_exact(self):
+        amps = chunk()
+        amps[300] = basis_row(math.sqrt(1.2), 0, 4, 8)   # GHZ x sqrt(1.2): gamma 1.13
+        amps[400] = basis_row(math.sqrt(1 + 1e-12), 0)   # ||Z||_F = 1 + 1e-12
+        amps[401] = basis_row(math.sqrt(1 - 1e-12), 0)   # ||Z||_F = 1 - 1e-12
+        screened, exact = screen_matches_exact(amps, 0)
+        assert np.argmax(screened) == 300
+        assert screened[400] == exact[400] > 1
+        assert screened[401] == exact[401] < 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, value):
+        amps = chunk()
+        amps[700, 3] = value
+        for keep_leading in (None, 0):
+            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+                batch_gamma_concurrence(amps, keep_leading=keep_leading)
+
+    @pytest.mark.parametrize("row, match", [
+        (basis_row(2.0, 0, 4, 8), "quantum cap"),    # GHZ x 2: gamma 3.77
+        (basis_row(1.1, 0), "operator norm"),        # 1.1 |11>: gamma 1.21, norm 1.21
+    ])
+    def test_caps_raise_through_screen(self, row, match):
+        amps = chunk()
+        amps[CHUNK - 10] = row
+        with pytest.raises(ValueError, match=match):
+            batch_gamma_concurrence(amps, keep_leading=0)
+
+
 def report_digest(report) -> str:
     """SHA-256 of the report's JSON form, the digest the benchmark pins."""
     return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
@@ -261,6 +364,10 @@ class TestTableRows:
     def test_k_cannot_exceed_n(self):
         with pytest.raises(ValueError):
             table_rows(ScanConfig(n_samples=5, seed=0), k=6)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            table_rows(ScanConfig(n_samples=5, seed=0), k=-1)
 
 
 class TestSerialization:

@@ -354,6 +354,11 @@ class TestKeyDomain:
         with pytest.raises(ValueError, match="index"):
             sample_amplitude_batch((3, 3), "uniform", 0, -1, 3)
 
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    def test_negative_count_rejected(self, sampler):
+        with pytest.raises(ValueError, match="count"):
+            sample_amplitude_batch((3, 3), sampler, 0, 0, -1)
+
     def test_largest_seed_and_index_accepted(self):
         top = 2 ** 64 - 1
         batch = sample_amplitude_batch((3, 3), "haar", top, top - 1, 2)
