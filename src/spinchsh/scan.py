@@ -154,6 +154,8 @@ def _coefficient_tensor(a: np.ndarray, ac: np.ndarray) -> np.ndarray:
 def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:
     """Mask of the rows of a (b, 3, 3) batch of Z whose exact gamma a scan
     reduction can read; see ``batch_gamma_concurrence``."""
+    if keep_leading < 0:
+        raise ValueError(f"keep_leading must be >= 0, got {keep_leading}")
     f2 = np.einsum("bij,bij->b", z, z)
     det = (z[:, 0, 0] * (z[:, 1, 1] * z[:, 2, 2] - z[:, 1, 2] * z[:, 2, 1])
            - z[:, 0, 1] * (z[:, 1, 0] * z[:, 2, 2] - z[:, 1, 2] * z[:, 2, 0])

@@ -252,6 +252,10 @@ class TestScreenedKernel:
             with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
                 batch_gamma_concurrence(amps, keep_leading=keep_leading)
 
+    def test_negative_keep_leading_rejected(self):
+        with pytest.raises(ValueError, match="keep_leading"):
+            batch_gamma_concurrence(chunk()[:10], keep_leading=-1)
+
     @pytest.mark.parametrize("row, match", [
         (basis_row(2.0, 0, 4, 8), "quantum cap"),    # GHZ x 2: gamma 3.77
         (basis_row(1.1, 0), "operator norm"),        # 1.1 |11>: gamma 1.21, norm 1.21
