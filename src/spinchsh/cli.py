@@ -149,7 +149,9 @@ def _cmd_scan(args) -> int:
     sampler = {"paper": "uniform"}.get(args.sampler, args.sampler)
     cfg = ScanConfig(n_samples=args.n, sampler=sampler, seed=args.seed,
                      histogram_bins=args.hist_bins, workers=args.workers)
-    if args.rows_out:  # before the scan, so that a bad --rows fails at once
+    # before the scan, so that a bad --rows fails at once, even without
+    # --rows-out (table_rows raises on a negative count before sampling)
+    if args.rows_out or args.rows < 0:
         rows = table_rows(cfg, min(args.rows, cfg.n_samples),
                           decimals=2 if args.decimals is None else args.decimals)
     report = run_scan(cfg)

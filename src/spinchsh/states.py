@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .spin import spin_operators
+from .ziggurat import KI_DOUBLE, WI_DOUBLE
 
 NORM_TOL = 1e-12       # pure-state and family-coefficient normalization
 HERMITICITY_TOL = 1e-10
@@ -531,12 +532,14 @@ def family_state(spec: Family) -> DensityMatrix:
 # pure function of the pair (seed, i).  The pair keys a Philox-4x64 counter
 # based generator, and each sample is drawn from the stream numpy's
 # Philox(key=(seed, i)) gives, so samples are independent of batching,
-# ordering and worker count.  The uniform sampler computes the raw words of
-# every key of a batch at once (``_philox_raw``); the Gaussian sampler, whose
-# ziggurat may reject and redraw, assigns each sample's generator the state
-# Philox(key=(seed, i)) starts in through numpy's documented ``state`` setter
-# and lets numpy draw.  Seeds and indices outside [0, 2**64) are rejected
-# rather than wrapped, so no two seeds name the same stream.
+# ordering and worker count.  Both samplers compute the raw words of every
+# key of a batch at once (``_philox_raw``).  The uniform sampler scales them;
+# the Gaussian sampler applies numpy's ziggurat fast path to them
+# (``_ziggurat_fast_path``), and only a sample with a draw that path rejects
+# (about one in four) has its generator assigned the state
+# Philox(key=(seed, i)) starts in, through numpy's documented ``state``
+# setter, and lets numpy draw it again.  Seeds and indices outside [0, 2**64)
+# are rejected rather than wrapped, so no two seeds name the same stream.
 
 # Philox-4x64-10 constants (Salmon et al., SC'11).  Every constant and shift
 # is a numpy uint64, so numpy 1.x value-based casting and numpy 2 (NEP 50)
@@ -547,6 +550,16 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT_DOUBLE = np.uint64(11)  # random() keeps the top 53 bits of a word
+
+# numpy's standard-normal ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+# 2000): per layer, the bound a word's 52-bit magnitude must stay below to be
+# taken on the fast path, and the scale that turns it into a draw
+_ZIGGURAT_KI = np.array(KI_DOUBLE, dtype=np.uint64)
+_ZIGGURAT_WI = np.array(WI_DOUBLE, dtype=np.float64)
+_LOW_BYTE = np.uint64(0xFF)
+_SHIFT_BYTE = np.uint64(8)
+_ONE = np.uint64(1)
+_MANTISSA = np.uint64(2 ** 52 - 1)
 
 
 def check_key(name: str, value: int) -> int:
@@ -609,6 +622,34 @@ def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
     return np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * blocks)[:, :k]
 
 
+def _ziggurat_fast_path(seed: int, start: int, count: int, k: int) -> tuple:
+    """(x, slow) for the first k ``standard_normal`` draws of each key
+    (seed, start + i), i < count.
+
+    numpy's ziggurat turns raw word r into a draw on its fast path: layer
+    ``idx = r & 0xff``, then with ``r >>= 8`` the sign bit ``r & 1`` and the
+    magnitude ``rabs = (r >> 1) & (2**52 - 1)``; it takes ``±rabs *
+    wi[idx]`` iff ``rabs < ki[idx]`` and otherwise reads further words.  So
+    row i of the (count, k) float array x is that key's draws bit for bit
+    unless i is in ``slow``, the rows (Python ints) with a word the fast path
+    rejects.  The words are reworked in place to keep the peak memory near
+    two (count, k) arrays.
+    """
+    r = _philox_raw(seed, start, count, k)
+    idx = (r & _LOW_BYTE).astype(np.uint8)
+    r >>= _SHIFT_BYTE
+    negative = (r & _ONE).astype(bool)
+    r >>= _ONE
+    r &= _MANTISSA
+    slow = np.flatnonzero((r >= _ZIGGURAT_KI[idx]).any(axis=1)).tolist()
+    x = r.astype(np.float64)
+    del r
+    x *= _ZIGGURAT_WI[idx]
+    del idx
+    np.negative(x, out=x, where=negative)
+    return x, slow
+
+
 def sample_pure_state(dims=(3, 3), sampler: str = "uniform",
                       seed: int = 0, index: int = 0) -> PureState:
     """Draw one random normalized pure state, determined by (seed, index):
@@ -640,16 +681,22 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
         words = _philox_raw(seed, start, count, 2 * n).reshape(count * n, 2)
         pairs = (words >> _SHIFT_DOUBLE) * 2.0 ** -53
     else:
+        # Generator.standard_normal(): the ziggurat's fast path on every raw
+        # word, then numpy itself redraws each sample that path cannot finish
+        draws, slow = _ziggurat_fast_path(seed, start, count, 2 * n)
+        pairs = draws.reshape(count * n, 2)  # [re, im] of each amplitude, n rows per sample
         bitgen = np.random.Philox(key=[0, 0])
         rng = np.random.Generator(bitgen)
-        pairs = np.empty((count * n, 2))  # [re, im] of each amplitude, n rows per sample
-        for i in range(count):
-            # the state Philox(key=(seed, start + i)) starts in
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"key": np.array([seed, start + i], dtype=np.uint64),
-                                      "counter": np.zeros(4, dtype=np.uint64)},
-                            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
+        # the state Philox(key=(seed, start + i)) starts in; the setter copies
+        # every word, so one dict serves every sample once key[1] is set
+        key = np.array([seed, 0], dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"key": key, "counter": np.zeros(4, dtype=np.uint64)},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for i in slow:
+            key[1] = start + i
+            bitgen.state = state
             rng.standard_normal(out=pairs[i * n:(i + 1) * n])
     out = _from_pairs(pairs, (count, n))
     out /= np.sqrt(np.sum(out.real ** 2 + out.imag ** 2, axis=1, keepdims=True))

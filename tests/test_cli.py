@@ -220,6 +220,15 @@ class TestScan:
         assert capsys.readouterr().err == "error: number of rows k = -1 must be >= 0\n"
         assert not report.exists()
 
+    def test_negative_rows_exit_1_without_rows_out(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code = main(["scan", "--n", "5", "--rows", "-1", "--report-out", str(report)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: number of rows k = -1 must be >= 0\n"
+        assert captured.out == ""
+        assert not report.exists()
+
     def test_workers_flag_matches_serial(self, capsys):
         _, out1 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "1")
         _, out2 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "2")

@@ -1,5 +1,8 @@
 """State construction, named families, mixing, sampling, serialization."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
                       Werner, family_pure, family_state, mix, pure_to_density,
                       sample_pure_state, state_from_json, swap_operator)
 from spinchsh.states import keyed_generator, physicality_residuals, sample_amplitude_batch
-from spinchsh.states import _philox_raw
+from spinchsh.states import _philox_raw, _ziggurat_fast_path
+from spinchsh import ziggurat
 
 
 def basis_state(m, k):
@@ -327,6 +331,118 @@ class TestVectorizedPhilox:
     def test_empty_batch_shape(self, sampler, dims):
         batch = sample_amplitude_batch(dims, sampler, 0, 0, 0)
         assert batch.shape == (0, dims[0] * dims[1])
+
+
+def words_read(rng):
+    """Raw words a keyed Philox generator has handed out so far; numpy bumps
+    the counter before each block of four words."""
+    state = rng.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+def keyed_normal_draws(seed, index, k):
+    """numpy's first k standard_normal draws for the key, and how many raw
+    words it read for them (k exactly when every draw took the fast path)."""
+    rng = keyed_generator(seed, index)
+    draws = rng.standard_normal(k)
+    return draws, words_read(rng)
+
+
+def normalized_rows(draws):
+    """(count, 2n) draws as [re, im] pairs, normalized as the sampler does."""
+    amps = draws[:, 0::2] + 1j * draws[:, 1::2]
+    return amps / np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2, axis=1, keepdims=True))
+
+
+def first_rejections(seed, start, count, k=18):
+    """(row, position, word) of the first fast-path rejection in each row
+    with one, from the committed tables, for the keys (seed, start + row)."""
+    words = _philox_raw(seed, start, count, k)
+    rabs = (words >> np.uint64(9)) & np.uint64(2 ** 52 - 1)
+    rejected = rabs >= np.array(ziggurat.KI_DOUBLE, dtype=np.uint64)[words & np.uint64(0xFF)]
+    return [(int(i), int(np.argmax(rejected[i])), int(words[i, np.argmax(rejected[i])]))
+            for i in np.flatnonzero(rejected.any(axis=1))]
+
+
+def load_extract_script():
+    path = Path(__file__).resolve().parents[1] / "tools" / "extract_ziggurat.py"
+    spec = importlib.util.spec_from_file_location("extract_ziggurat", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestZigguratFastPath:
+    """The haar sampler's vectorized ziggurat fast path against numpy's
+    standard_normal, and the committed tables against numpy's own."""
+
+    K = 18  # draws per (3, 3) sample
+
+    @pytest.mark.parametrize("seed, start", [
+        (0, 0), (2 ** 63 + 5, 2 ** 64 - 8192), (2 ** 64 - 1, 2 ** 64 - 8192)])
+    def test_full_chunk_matches_numpy(self, seed, start):
+        count = 8192
+        draws, slow = _ziggurat_fast_path(seed, start, count, self.K)
+        assert all(type(i) is int for i in slow)
+        batch = sample_amplitude_batch((3, 3), "haar", seed, start, count)
+        reference = np.empty((count, self.K))
+        slow_set = set(slow)
+        for i in range(count):
+            reference[i], words_read = keyed_normal_draws(seed, start + i, self.K)
+            # a row is slow exactly when numpy read more than one word per draw
+            assert (i in slow_set) == (words_read > self.K)
+        fast = np.setdiff1d(np.arange(count), slow)
+        assert np.array_equal(draws[fast], reference[fast])
+        assert np.array_equal(batch, normalized_rows(reference))
+        # the rows compared above cover every layer and both signs; layer 1
+        # (ki = 0) is never taken on the fast path, every other layer is
+        words = _philox_raw(seed, start, count, self.K)
+        assert set((words & np.uint64(0xFF)).ravel().tolist()) == set(range(256))
+        fast_words = words[fast]
+        assert ziggurat.KI_DOUBLE[1] == 0
+        assert set((fast_words & np.uint64(0xFF)).ravel().tolist()) == set(range(256)) - {1}
+        assert set(((fast_words >> np.uint64(8)) & np.uint64(1)).ravel().tolist()) == {0, 1}
+        assert 0.15 < len(slow) / count < 0.35
+
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_slow_draw_key_pinned_against_numpy(self, tail):
+        # the first key of seed 0 whose first rejected word is in the tail
+        # layer (idx 0), or in another layer and also fails the wedge test:
+        # numpy then reads more than two words for that one draw
+        for i, j, word in first_rejections(0, 0, 4096):
+            if (word & 0xFF == 0) == tail:
+                rng = keyed_generator(0, i)
+                rng.standard_normal(j + 1)
+                if tail or words_read(rng) > j + 2:
+                    break
+        else:
+            pytest.fail("no such key among the first 4096")
+        reference, count = keyed_normal_draws(0, i, self.K)
+        assert count > self.K
+        assert _ziggurat_fast_path(0, i, 1, self.K)[1] == [0]
+        # the key alone and inside a batch
+        expected = normalized_rows(reference[None, :])[0]
+        assert np.array_equal(sample_pure_state((3, 3), "haar", 0, i).amplitudes, expected)
+        start = max(i - 1, 0)
+        assert np.array_equal(sample_amplitude_batch((3, 3), "haar", 0, start, 3)[i - start], expected)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_small_batch_shapes(self, count):
+        draws, slow = _ziggurat_fast_path(2 ** 63 + 5, 2 ** 64 - 1 - count, count, self.K)
+        assert draws.shape == (count, self.K) and draws.dtype == np.float64
+        assert set(slow) <= set(range(count))
+        assert sample_amplitude_batch((3, 3), "haar", 5, 2 ** 64 - 1 - count, count).shape == (count, 9)
+
+    def test_tables_match_installed_numpy(self):
+        extract = load_extract_script()
+        try:
+            tables = extract.read_tables(extract.default_archive())
+        except extract.TableNotFound as exc:
+            pytest.skip(str(exc))
+        assert tables["ki_double"] == ziggurat.KI_DOUBLE
+        assert [v.hex() for v in tables["wi_double"]] == [v.hex() for v in ziggurat.WI_DOUBLE]
+        # the committed module is exactly what the script writes
+        assert extract.render(tables) == Path(ziggurat.__file__).read_text()
 
 
 class TestKeyDomain:
