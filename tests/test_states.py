@@ -360,7 +360,8 @@ def first_rejections(seed, start, count, k=18):
     words = _philox_raw(seed, start, count, k)
     rabs = (words >> np.uint64(9)) & np.uint64(2 ** 52 - 1)
     rejected = rabs >= np.array(ziggurat.KI_DOUBLE, dtype=np.uint64)[words & np.uint64(0xFF)]
-    return [(int(i), int(np.argmax(rejected[i])), int(words[i, np.argmax(rejected[i])]))
+    first = rejected.argmax(axis=1)
+    return [(int(i), int(first[i]), int(words[i, first[i]]))
             for i in np.flatnonzero(rejected.any(axis=1))]
 
 
@@ -388,9 +389,9 @@ class TestZigguratFastPath:
         reference = np.empty((count, self.K))
         slow_set = set(slow)
         for i in range(count):
-            reference[i], words_read = keyed_normal_draws(seed, start + i, self.K)
+            reference[i], read = keyed_normal_draws(seed, start + i, self.K)
             # a row is slow exactly when numpy read more than one word per draw
-            assert (i in slow_set) == (words_read > self.K)
+            assert (i in slow_set) == (read > self.K)
         fast = np.setdiff1d(np.arange(count), slow)
         assert np.array_equal(draws[fast], reference[fast])
         assert np.array_equal(batch, normalized_rows(reference))
@@ -417,8 +418,8 @@ class TestZigguratFastPath:
                     break
         else:
             pytest.fail("no such key among the first 4096")
-        reference, count = keyed_normal_draws(0, i, self.K)
-        assert count > self.K
+        reference, read = keyed_normal_draws(0, i, self.K)
+        assert read > self.K
         assert _ziggurat_fast_path(0, i, 1, self.K)[1] == [0]
         # the key alone and inside a batch
         expected = normalized_rows(reference[None, :])[0]

@@ -12,11 +12,11 @@ The library imports the written module and never reads the archive.
 
 Usage::
 
-    python tools/extract_ziggurat.py [--archive PATH] [--out PATH] [--check]
+    python tools/extract_ziggurat.py [--archive PATH] [--out PATH]
 
-``--archive`` defaults to the installed numpy's archive (located without
-importing numpy); ``--check`` exits 1 when ``--out`` differs from what the
-archive gives, instead of writing it.
+``--archive`` defaults to the installed numpy's archive, located without
+importing numpy.  ``tests/test_states.py`` re-reads the installed archive
+with ``read_tables`` and compares it with the committed module.
 """
 
 from __future__ import annotations
@@ -142,18 +142,12 @@ def main(argv=None) -> int:
                         help="libnpyrandom.a to read (default: the installed numpy's)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help="module to write (default: %(default)s)")
-    parser.add_argument("--check", action="store_true",
-                        help="compare --out with the archive instead of writing it")
     args = parser.parse_args(argv)
     try:
         text = render(read_tables(args.archive or default_archive()))
     except (TableNotFound, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.check:
-        same = args.out.is_file() and args.out.read_text() == text
-        print(f"{args.out}: {'matches' if same else 'differs from'} the archive")
-        return 0 if same else 1
     args.out.write_text(text)
     return 0
 
