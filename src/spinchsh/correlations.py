@@ -128,7 +128,10 @@ def correlation_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Correlation entries from a coefficient tensor of shape (..., 3, 3, 3, 3).
 
     Leading axes are broadcast, so a whole batch of states is handled in one
-    call.  Index order matches ``DensityMatrix.coefficients()``.
+    call.  Index order matches ``DensityMatrix.coefficients()``.  Only each
+    read entry's ``.real`` and ``.imag`` are used (complex ``+`` and ``-``
+    act on each part alone, so the bits are the same), which lets the scan
+    kernel pass the parts of the entries it builds instead of a tensor.
     """
     z = coeffs
     if z.shape[-4:] != (3, 3, 3, 3):
@@ -142,10 +145,10 @@ def correlation_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
             up_dn = z[..., m - 1, m, k, k - 1]
             dn_up = z[..., m, m - 1, k - 1, k]
             dn_dn = z[..., m, m - 1, k, k - 1]
-            out[..., 0, 0] += c * (up_up + up_dn).real
-            out[..., 0, 1] += c * (up_dn - up_up).imag
-            out[..., 1, 0] += -c * (up_up + up_dn).imag
-            out[..., 1, 1] += c * (dn_up - dn_dn).real
+            out[..., 0, 0] += c * (up_up.real + up_dn.real)
+            out[..., 0, 1] += c * (up_dn.imag - up_up.imag)
+            out[..., 1, 0] += -c * (up_up.imag + up_dn.imag)
+            out[..., 1, 1] += c * (dn_up.real - dn_dn.real)
     for m in (1, 2):
         for k in (1, 2, 3):
             c = 0.5 * math.sqrt(m * (3 - m)) * (4 - 2 * k)

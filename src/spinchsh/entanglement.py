@@ -48,9 +48,10 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> ReducedState:
     """Trace out one party; ``keep`` selects the party that remains."""
     da, db = rho.dims
     t = rho.matrix.reshape(da, db, da, db)
-    if keep.upper() == "A":
+    side = keep.upper() if isinstance(keep, str) else None
+    if side == "A":
         red = np.einsum("ikjk->ij", t)
-    elif keep.upper() == "B":
+    elif side == "B":
         red = np.einsum("kikj->ij", t)
     else:
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")

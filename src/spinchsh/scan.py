@@ -1,8 +1,9 @@
 """Seeded Monte Carlo scan over random pure two-qutrit states.
 
 Each sample is drawn from its own (seed, index) substream, piped through the
-coefficient-tensor correlation route to the CHSH parameter gamma and the
-concurrence, and folded into an order-independent reduction (max, counts,
+coefficient-tensor correlation route (only the tensor entries that route and
+the purity read are built) to the CHSH parameter gamma and the concurrence,
+and folded into an order-independent reduction (max, counts,
 histogram).  Reports are therefore byte-identical across worker counts.
 
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
@@ -14,7 +15,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import product
 from multiprocessing import Pool
 
 import numpy as np
@@ -37,8 +41,14 @@ LOW_CONCURRENCE = 1e-6
 VIOLATION_RECORD_CAP = 100
 # Number of leading samples kept verbatim in the report.
 SAMPLE_ROW_COUNT = 50
-# Coefficient blocks (m, p) that correlation_from_coefficients reads.
-Z_BLOCKS = ((0, 1), (1, 0), (1, 2), (2, 1), (0, 0), (1, 1), (2, 2))
+# Products a[m, k] conj(a[p, q]) of a pure state's (3, 3) amplitudes that the
+# kernel reads, as coefficient-tensor indices (m, p, k, q): first the 27 that
+# the reduced state sum_j a[i, j] conj(a[k, j]) sums, in (i, k, j) order, then
+# the 28 others correlation_from_coefficients reads (|m - p| <= 1, |k - q| = 1).
+PRODUCTS = ([(i, k, j, j) for i, k, j in product(range(3), repeat=3)]
+            + [(m, p, k, q) for m, p, k, q in product(range(3), repeat=4)
+               if abs(m - p) <= 1 and abs(k - q) == 1])
+PRODUCT_ROW = {entry: n for n, entry in enumerate(PRODUCTS)}
 # Relative widening of the kernel's two bounds on gamma; float round-off in
 # ||Z||_F^2, det Z and eigvalsh is near 1e-15.
 SCREEN_MARGIN = 1e-9
@@ -53,6 +63,10 @@ class ScanConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # integers only: a float or a numpy scalar fails here, not inside run_scan
+        for name in ("n_samples", "histogram_bins", "workers"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "seed", check_key("seed", self.seed))
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.sampler not in SAMPLERS:
@@ -61,7 +75,6 @@ class ScanConfig:
             raise ValueError("histogram_bins must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        check_key("seed", self.seed)
 
 
 @dataclass
@@ -116,6 +129,14 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     smallest eigenvalue of Z^T Z is at most the cube root of its
     determinant det(Z)^2.
 
+    Z and the purity are read from the amplitude products in PRODUCTS
+    only, never from a full coefficient tensor, and carry the bits of the
+    einsum route: ``correlation_from_coefficients`` of
+    ``einsum("bmk,bpq->bmpkq", a, a.conj())``, and the reduced state and
+    purity by ``einsum("bij,bkj->bik", ...)`` and
+    ``einsum("bik,bik->b", ...)``.  Each product is formed as einsum forms
+    it (see ``_amplitude_parts``), and each sum is taken in einsum's order.
+
     Concurrence, exact for every row, is sqrt(2 (1 - purity)), which
     bottoms out near 1e-8 for near-product states, where
     ``concurrence_pure`` uses the exact pairwise Schmidt form.  The two stay
@@ -125,9 +146,8 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     and ``CorrelationMatrix`` do; a row the screen drops can breach neither.
     """
     b = amplitudes.shape[0]
-    a = amplitudes.reshape(b, 3, 3)
-    ac = a.conj()
-    z = correlation_from_coefficients(_coefficient_tensor(a, ac))
+    parts = _amplitude_parts(amplitudes)
+    z = correlation_from_coefficients(_PureBatch(parts))
     keep = slice(None) if keep_leading is None else _screen(z, keep_leading)
     kept = z[keep]
     ev = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", kept, kept))
@@ -135,20 +155,65 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     gamma[keep] = top_two_root(ev)
     check_tsirelson(gamma)
     check_norm_cap(ev)
-    reduced = np.einsum("bij,bkj->bik", a, ac)
-    purity = np.einsum("bik,bik->b", reduced, reduced.conj()).real
+    # reduced state (i, k): ((0 + P_i0 k0) + P_i1 k1) + P_i2 k2, real and
+    # imaginary parts; the purity is the running sum of |.|^2 in (i, k) order
+    terms = parts[:, :27].reshape(2, 9, 3, b)
+    rr, ri = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
+    purity = sum(rr * rr - ri * -ri, 0.0)
     concurrence = np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
     return gamma, concurrence
 
 
-def _coefficient_tensor(a: np.ndarray, ac: np.ndarray) -> np.ndarray:
-    """(b, 3, 3, 3, 3) coefficient tensor of (b, 3, 3) amplitudes ``a`` and
-    their conjugates ``ac``, block-major: block (m, p) is a[:, m] (x) ac[:, p],
-    built only for the Z_BLOCKS; the other blocks stay zero."""
-    zeta = np.zeros((3, 3, a.shape[0], 3, 3), dtype=complex)
-    for m, p in Z_BLOCKS:
-        np.einsum("bk,bq->bkq", a[:, m], ac[:, p], out=zeta[m, p])
-    return zeta.transpose(2, 0, 1, 3, 4)
+def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
+    """(2, len(PRODUCTS), b) float64 array: the real (``[0]``) and imaginary
+    (``[1]``) parts of each product a[m, k] conj(a[p, q]) in PRODUCTS, for a
+    (b, 9) batch of amplitude rows.
+
+    Each part is formed with einsum's own float operations on the factors
+    x = a[m, k] and y = conj(a[p, q]), x.re y.re - x.im y.im and
+    x.re y.im + x.im y.re, plus 0.0, because einsum adds the product into a
+    zeroed output; so each row holds the bits of the coefficient tensor's
+    entry.  (Numpy's complex ``multiply`` loop may fuse these operations and
+    round differently.)  Every row is written in place into one array.
+    """
+    b = amplitudes.shape[0]
+    x_re = np.ascontiguousarray(amplitudes.real.T)
+    x_im = np.ascontiguousarray(amplitudes.imag.T)
+    y_im = np.negative(x_im)
+    parts = np.empty((2, len(PRODUCTS), b))
+    scratch = np.empty(b)
+    for n, (m, p, k, q) in enumerate(PRODUCTS):
+        x, y = 3 * m + k, 3 * p + q
+        re, im = parts[0, n], parts[1, n]
+        np.multiply(x_re[x], x_re[y], out=re)
+        np.multiply(x_im[x], y_im[y], out=scratch)
+        np.subtract(re, scratch, out=re)
+        np.add(re, 0.0, out=re)
+        np.multiply(x_re[x], y_im[y], out=im)
+        np.multiply(x_im[x], x_re[y], out=scratch)
+        np.add(im, scratch, out=im)
+        np.add(im, 0.0, out=im)
+    return parts
+
+
+# One entry of a coefficient tensor, as correlation_from_coefficients reads it.
+_Entry = namedtuple("_Entry", "real imag")
+
+
+class _PureBatch:
+    """The (b, 3, 3, 3, 3) coefficient tensor of a batch of pure states, as
+    far as correlation_from_coefficients reads it: ``[..., m, p, k, q]``
+    gives the real and imaginary rows of that product in
+    ``_amplitude_parts``."""
+
+    def __init__(self, parts: np.ndarray):
+        self.parts = parts
+        self.shape = (parts.shape[2], 3, 3, 3, 3)
+        self.nbytes = parts.nbytes
+
+    def __getitem__(self, key) -> _Entry:
+        n = PRODUCT_ROW[key[1:]]
+        return _Entry(self.parts[0, n], self.parts[1, n])
 
 
 def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:
