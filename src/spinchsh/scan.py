@@ -3,8 +3,8 @@
 Each sample is drawn from its own (seed, index) substream, piped through the
 coefficient-tensor correlation route (only the tensor entries that route and
 the purity read are built) to the CHSH parameter gamma and the concurrence,
-and folded into an order-independent reduction (max, counts,
-histogram).  Reports are therefore byte-identical across worker counts.
+and folded into an order-independent reduction (max, counts, histogram).
+Reports are therefore byte-identical across worker counts.
 
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
 records such states in full rather than treating them as errors.
@@ -63,7 +63,7 @@ class ScanConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # integers only: a float or a numpy scalar fails here, not inside run_scan
+        # stored as plain ints; a float fails here rather than inside run_scan
         for name in ("n_samples", "histogram_bins", "workers"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "seed", check_key("seed", self.seed))
@@ -155,8 +155,10 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     gamma[keep] = top_two_root(ev)
     check_tsirelson(gamma)
     check_norm_cap(ev)
-    # reduced state (i, k): ((0 + P_i0 k0) + P_i1 k1) + P_i2 k2, real and
-    # imaginary parts; the purity is the running sum of |.|^2 in (i, k) order
+    # reduced-state entry (i, k) is ((0 + P(i, k, 0)) + P(i, k, 1)) + P(i, k, 2),
+    # P(i, k, j) = a[i, j] conj(a[k, j]), in each part (the 0 + is in the
+    # parts); the purity is the running sum, from 0, of re re - im (-im) over
+    # (i, k) in row-major order: einsum's order, which the bits depend on
     terms = parts[:, :27].reshape(2, 9, 3, b)
     rr, ri = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
     purity = sum(rr * rr - ri * -ri, 0.0)
@@ -167,7 +169,7 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
 def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     """(2, len(PRODUCTS), b) float64 array: the real (``[0]``) and imaginary
     (``[1]``) parts of each product a[m, k] conj(a[p, q]) in PRODUCTS, for a
-    (b, 9) batch of amplitude rows.
+    batch of b amplitude rows, (b, 9) or (b, 3, 3).
 
     Each part is formed with einsum's own float operations on the factors
     x = a[m, k] and y = conj(a[p, q]), x.re y.re - x.im y.im and
@@ -177,20 +179,21 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     round differently.)  Every row is written in place into one array.
     """
     b = amplitudes.shape[0]
-    x_re = np.ascontiguousarray(amplitudes.real.T)
-    x_im = np.ascontiguousarray(amplitudes.imag.T)
-    y_im = np.negative(x_im)
+    a = amplitudes.reshape(b, 9)
+    a_re = np.ascontiguousarray(a.real.T)   # (9, b); row 3 m + k is a[m, k]
+    a_im = np.ascontiguousarray(a.imag.T)
+    ac_im = np.negative(a_im)               # imaginary parts of conj(a)
     parts = np.empty((2, len(PRODUCTS), b))
     scratch = np.empty(b)
     for n, (m, p, k, q) in enumerate(PRODUCTS):
         x, y = 3 * m + k, 3 * p + q
         re, im = parts[0, n], parts[1, n]
-        np.multiply(x_re[x], x_re[y], out=re)
-        np.multiply(x_im[x], y_im[y], out=scratch)
+        np.multiply(a_re[x], a_re[y], out=re)         # x.re y.re
+        np.multiply(a_im[x], ac_im[y], out=scratch)   # x.im y.im
         np.subtract(re, scratch, out=re)
         np.add(re, 0.0, out=re)
-        np.multiply(x_re[x], y_im[y], out=im)
-        np.multiply(x_im[x], x_re[y], out=scratch)
+        np.multiply(a_re[x], ac_im[y], out=im)        # x.re y.im
+        np.multiply(a_im[x], a_re[y], out=scratch)    # x.im y.re
         np.add(im, scratch, out=im)
         np.add(im, 0.0, out=im)
     return parts

@@ -62,6 +62,11 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(pure_to_density(random_pure(rng)), keep="C")
 
+    @pytest.mark.parametrize("keep", [0, None, b"A"])
+    def test_non_string_keep_rejected(self, rng, keep):
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B'"):
+            partial_trace(pure_to_density(random_pure(rng)), keep=keep)
+
 
 class TestConcurrence:
 

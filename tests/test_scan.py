@@ -5,6 +5,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,7 @@ from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh
                       correlation_matrix_coeff, concurrence_pure, mix,
                       pure_to_density, run_scan, sample_pure_state,
                       table_rows, write_histogram_csv, write_sample_rows_csv)
-from spinchsh.correlations import VIOLATION_TOL
+from spinchsh.correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
 from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
 from spinchsh import scan
 from spinchsh.states import sample_amplitude_batch
@@ -160,6 +165,22 @@ class TestRunScan:
         with pytest.raises(ValueError):
             ScanConfig(n_samples=10, workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_samples", 10.5), ("n_samples", 1e3), ("histogram_bins", 4.5), ("workers", 1.5),
+        ("seed", 2.0), ("n_samples", "10"),
+    ])
+    def test_non_integer_config_rejected(self, field, value):
+        with pytest.raises(TypeError):
+            ScanConfig(**{"n_samples": 10, field: value})
+
+    def test_config_stores_plain_ints(self):
+        cfg = ScanConfig(n_samples=True, seed=np.uint64(2 ** 63 + 5), histogram_bins=np.int64(4),
+                         workers=np.int32(1))
+        assert (cfg.n_samples, cfg.seed, cfg.histogram_bins, cfg.workers) == (1, 2 ** 63 + 5, 4, 1)
+        assert all(type(v) is int for v in (cfg.n_samples, cfg.seed, cfg.histogram_bins, cfg.workers))
+        data = run_scan(cfg).to_json()
+        assert data["n_samples"] == 1 and type(data["n_samples"]) is int
+
 
 def chunk(sampler="uniform", seed=3, start=0):
     return sample_amplitude_batch((3, 3), sampler, seed, start, CHUNK)
@@ -265,6 +286,134 @@ class TestScreenedKernel:
         amps[CHUNK - 10] = row
         with pytest.raises(ValueError, match=match):
             batch_gamma_concurrence(amps, keep_leading=0)
+
+
+def einsum_route(amps):
+    """(Z, gamma, concurrence) of a batch of amplitude rows by the full
+    coefficient tensor and numpy einsum: the kernel's reference."""
+    a = amps.reshape(-1, 3, 3)
+    ac = a.conj()
+    z = correlation_from_coefficients(np.einsum("bmk,bpq->bmpkq", a, ac))
+    gamma = top_two_root(np.linalg.eigvalsh(np.einsum("bji,bjk->bik", z, z)))
+    reduced = np.einsum("bij,bkj->bik", a, ac)
+    purity = np.einsum("bik,bik->b", reduced, reduced.conj()).real
+    return z, gamma, np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
+
+
+def assert_same_bits(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+class TestKernelMatchesEinsumRoute:
+    """The kernel builds Z and the purity from amplitude-product parts; every
+    bit must equal the einsum route over the full coefficient tensor."""
+
+    @staticmethod
+    def kernel(amps, monkeypatch):
+        """The kernel's (Z, gamma, concurrence), Z captured where the kernel
+        calls correlation_from_coefficients."""
+        seen = []
+
+        def recording(coeffs):
+            seen.append(correlation_from_coefficients(coeffs))
+            return seen[-1]
+
+        monkeypatch.setattr(scan, "correlation_from_coefficients", recording)
+        gamma, conc = batch_gamma_concurrence(amps)
+        (z,) = seen
+        return z, gamma, conc
+
+    def check(self, amps, monkeypatch):
+        for got, want in zip(self.kernel(amps, monkeypatch), einsum_route(amps)):
+            assert_same_bits(got, want)
+        a = amps.reshape(-1, 3, 3)
+        tensor = np.einsum("bmk,bpq->bmpkq", a, a.conj())
+        parts = scan._amplitude_parts(amps)
+        for n, (m, p, k, q) in enumerate(scan.PRODUCTS):
+            assert_same_bits(parts[0, n], tensor[:, m, p, k, q].real)
+            assert_same_bits(parts[1, n], tensor[:, m, p, k, q].imag)
+
+    @pytest.mark.parametrize("seed, start", [(0, 0), (11, 77 * CHUNK), (2 ** 63 + 5, 2 ** 64 - CHUNK)])
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    def test_full_chunks(self, sampler, seed, start, monkeypatch):
+        self.check(chunk(sampler, seed, start), monkeypatch)
+
+    def test_rows_with_exact_and_signed_zeros(self, monkeypatch):
+        rows = np.array([
+            basis_row(1.0, 0),          # |11>
+            basis_row(1.0, 0, 4, 8),    # GHZ
+            -basis_row(1.0, 4),         # -|22>: every other entry is -0 - 0j
+            -1j * basis_row(1.0, 1),    # |1> (x) (-i|2>)
+            basis_row(1.0, 0, 4, 8),    # GHZ, with a -0 imaginary part set below
+        ])
+        # a[11] conj(a[22]) is then s^2 - 0i as a bare product; einsum adds it
+        # into a zeroed output, which makes the -0 a +0
+        rows[4, 0] = complex(rows[4, 0].real, -0.0)
+        assert np.signbit(rows[2, 1:].real).all() and np.signbit(rows[2, 1:].imag).all()
+        self.check(rows, monkeypatch)
+        amps = chunk()
+        amps[[10, 2000, 5000, 6000, CHUNK - 1]] = rows
+        self.check(amps, monkeypatch)
+
+    def test_row_shapes(self):
+        amps = chunk()[:100]
+        for got, want in zip(batch_gamma_concurrence(amps.reshape(100, 3, 3)),
+                             batch_gamma_concurrence(amps)):
+            assert_same_bits(got, want)
+        for bad in (np.zeros((4, 10), dtype=complex), np.zeros((4, 8), dtype=complex)):
+            with pytest.raises(ValueError):
+                batch_gamma_concurrence(bad)
+
+    def test_products_are_the_entries_read(self):
+        """PRODUCTS holds each entry correlation_from_coefficients reads, and
+        the reduced state's 27 first, in (i, k, j) order."""
+        read = set()
+
+        class Recording:
+            shape = (1, 3, 3, 3, 3)
+
+            def __getitem__(self, key):
+                read.add(key[1:])
+                return np.zeros(1, dtype=complex)
+
+        correlation_from_coefficients(Recording())
+        reduced = [(i, k, j, j) for i in range(3) for k in range(3) for j in range(3)]
+        assert scan.PRODUCTS[:27] == reduced
+        assert set(scan.PRODUCTS) == read | set(reduced)
+        assert len(scan.PRODUCTS) == len(set(scan.PRODUCTS)) == 55
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts minor page faults under glibc's malloc")
+def test_warm_chunks_take_no_page_faults():
+    """Past two warm-up chunks, a chunk reuses memory the process already
+    holds: fewer than 100 minor page faults each (0-3 measured; a kernel
+    with one array per amplitude product took ~2,530).  Runs in a fresh
+    interpreter."""
+    code = textwrap.dedent("""
+        import json, resource
+        import numpy as np
+        from spinchsh.scan import CHUNK, CONCURRENCE_MAX, ScanConfig, _scan_chunk
+
+        faults = {}
+        for sampler in ("uniform", "haar"):
+            cfg = ScanConfig(n_samples=6 * CHUNK, sampler=sampler)
+            edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
+            faults[sampler] = []
+            for i in range(6):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                _scan_chunk((cfg, edges, i * CHUNK, (i + 1) * CHUNK))
+                faults[sampler].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(json.dumps(faults))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    faults = json.loads(out.stdout)
+    for sampler, counts in faults.items():
+        assert max(counts[2:]) < 100, (sampler, counts)
 
 
 def report_digest(report) -> str:
