@@ -80,8 +80,10 @@ def _state_from_args(args):
         raise ValueError("give either --family or --state-file, not both")
     if args.family is not None:
         spec = _family_from_args(args)
-        pure = family_pure(spec) if spec.pure else None
-        return family_state(spec), spec, pure
+        if spec.pure:
+            pure = family_pure(spec)
+            return pure_to_density(pure), spec, pure
+        return family_state(spec), spec, None
     if args.state_file is not None:
         with open(args.state_file) as fh:
             data = json.load(fh)
@@ -227,20 +229,6 @@ def _cmd_validate(args) -> int:
     return 0 if checks["valid"] and algebra_ok else 2
 
 
-def _add_state_source(sub):
-    sub.add_argument("--family", choices=list(FAMILIES),
-                     help="named two-qutrit family")
-    sub.add_argument("--state-file", metavar="JSON",
-                     help="state file with 'dims' plus 'amplitudes' or 'matrix'")
-    sub.add_argument("--spin", type=float, default=None,
-                     help="measured spin (default: inferred from dimensions)")
-    # a flag that two families share (--t) is added once
-    flags = {flag.name: flag for family in FAMILIES.values() for flag in family.flags}
-    for flag in flags.values():
-        sub.add_argument(flag.name, type=flag.type, default=None,
-                         help=flag.help, metavar=flag.metavar)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinchsh",
                      description="CHSH maxima under local spin measurements on two-qudit states")
@@ -252,10 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="round printed floats to this many decimal places "
                                "(default: 12 significant digits)")
     parser.add_argument("--decimals", type=int, default=None, help=argparse.SUPPRESS)
+    source = _Parser(add_help=False)
+    source.add_argument("--family", choices=list(FAMILIES),
+                        help="named two-qutrit family")
+    source.add_argument("--state-file", metavar="JSON",
+                        help="state file with 'dims' plus 'amplitudes' or 'matrix'")
+    source.add_argument("--spin", type=float, default=None,
+                        help="measured spin (default: inferred from dimensions)")
+    # a flag that two families share (--t) is added once
+    flags = {flag.name: flag for family in FAMILIES.values() for flag in family.flags}
+    for flag in flags.values():
+        source.add_argument(flag.name, type=flag.type, default=None,
+                            help=flag.help, metavar=flag.metavar)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("gamma", parents=[decimals], help="CHSH parameter of a state")
-    _add_state_source(p)
+    p = subs.add_parser("gamma", parents=[decimals, source], help="CHSH parameter of a state")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_gamma)
 
@@ -282,23 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of leading samples for --rows-out")
     p.set_defaults(func=_cmd_scan)
 
-    p = subs.add_parser("optimize", parents=[decimals],
+    p = subs.add_parser("optimize", parents=[decimals, source],
                         help="maximize the CHSH expectation over settings")
-    _add_state_source(p)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--tol", type=float, default=OptimizerConfig.convergence_tol)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_optimize)
 
-    p = subs.add_parser("concurrence", parents=[decimals], help="pure-state concurrence")
-    _add_state_source(p)
+    p = subs.add_parser("concurrence", parents=[decimals, source], help="pure-state concurrence")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_concurrence)
 
-    p = subs.add_parser("validate", parents=[decimals],
+    p = subs.add_parser("validate", parents=[decimals, source],
                         help="invariant checks for a state and the spin algebra")
-    _add_state_source(p)
     p.set_defaults(func=_cmd_validate)
 
     return parser

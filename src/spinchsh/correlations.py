@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import analytic_concurrence
-from .spin import INPUT_TOL, SpinOperators, spin_projection
+from .spin import SpinOperators, check_unit_vector, spin_projection
 from .states import DensityMatrix, Family, family_of
 
 # Imaginary parts of correlation traces must vanish for physical states.
@@ -98,11 +98,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            v = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must have three components")
-            if abs(np.linalg.norm(v) - 1.0) > INPUT_TOL:
-                raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
+            v = check_unit_vector(name, getattr(self, name))
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 

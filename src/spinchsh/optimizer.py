@@ -10,6 +10,7 @@ converged value certifies the closed form 2 sqrt(z^2 + zt^2) numerically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # stored as plain ints; a float fails here rather than inside optimize_settings
+        for name in ("max_iterations", "restarts"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.convergence_tol > 0:

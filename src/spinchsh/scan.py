@@ -25,8 +25,7 @@ import numpy as np
 
 from .correlations import (VIOLATION_TOL, check_norm_cap, check_tsirelson,
                            correlation_from_coefficients, top_two_root)
-from .states import (SAMPLERS, PureState, _to_pairs, check_key,
-                     sample_amplitude_batch, sample_pure_state)
+from .states import SAMPLERS, PureState, _to_pairs, check_key, sample_amplitude_batch
 
 logger = logging.getLogger(__name__)
 
@@ -243,10 +242,15 @@ def _scan_chunk(args) -> dict:
     hist, _ = np.histogram(np.clip(conc, 0.0, CONCURRENCE_MAX), bins=edges)
     local_arg = int(np.argmax(gamma))
     viol = np.nonzero(gamma > 1.0 + VIOLATION_TOL)[0]
+    # report states go back as lists: a view would keep the whole chunk alive,
+    # and PureState owns the array it makes from a list on any worker count
     return {
         "max_gamma": float(gamma[local_arg]),
         "argmax_index": start + local_arg,
-        "violation_pairs": [(start + int(i), float(gamma[i])) for i in viol],
+        "argmax_row": amps[local_arg].tolist(),
+        "violation_count": len(viol),
+        "violations": [(start + int(i), float(gamma[i]), amps[i].tolist())
+                       for i in viol[:VIOLATION_RECORD_CAP]],
         "hist": hist,
         "rows": [(amps[i].copy(), float(gamma[i]))  # none past the leading samples
                  for i in range(min(stop, SAMPLE_ROW_COUNT) - start)],
@@ -260,7 +264,8 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
 
     The report is a pure function of (seed, n_samples, sampler,
     histogram_bins); the worker count only affects wall time.  The seed
-    lies in [0, 2**64); ScanConfig rejects any other value.
+    lies in [0, 2**64); ScanConfig rejects any other value.  The states it
+    names are the rows the scan drew.
     """
     edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
     tasks = [(cfg, edges, start, min(start + CHUNK, cfg.n_samples))
@@ -272,37 +277,33 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
             parts = pool.map(_scan_chunk, tasks)
 
     best = max(parts, key=lambda part: part["max_gamma"])  # first maximum in chunk order
-    violation_pairs = [pair for part in parts for pair in part["violation_pairs"]]
+    violation_count = sum(part["violation_count"] for part in parts)
     hist = sum(part["hist"] for part in parts)
     low_conc = sum(part["low_concurrence_count"] for part in parts)
     if low_conc:
         logger.warning("%d sample(s) had concurrence <= %.0e (near-product states)",
                        low_conc, LOW_CONCURRENCE)
-    if violation_pairs:
+    if violation_count:
         logger.warning("%d sample(s) exceeded gamma = 1: conjecture counterexample candidates",
-                       len(violation_pairs))
+                       violation_count)
 
     histogram = [(float(edges[i]), float(edges[i + 1]), int(hist[i]))
                  for i in range(cfg.histogram_bins)]
-
-    def regenerate(idx):
-        return sample_pure_state((3, 3), cfg.sampler, cfg.seed, idx)
-
-    violations = [(i, g, regenerate(i))
-                  for i, g in violation_pairs[:VIOLATION_RECORD_CAP]]
+    violations = [v for part in parts for v in part["violations"]][:VIOLATION_RECORD_CAP]
+    # PureState here, not in a worker: a pickled read-only array comes back writable
     return ScanReport(
         n_samples=cfg.n_samples,
         sampler=cfg.sampler,
         seed=cfg.seed,
         max_gamma=best["max_gamma"],
         argmax_index=best["argmax_index"],
-        argmax_state=regenerate(best["argmax_index"]),
-        violation_count=len(violation_pairs),
+        argmax_state=PureState(best["argmax_row"], (3, 3)),
+        violation_count=violation_count,
         histogram=histogram,
         sample_rows=[row for part in parts for row in part["rows"]],
         min_concurrence=min(part["min_concurrence"] for part in parts),
         low_concurrence_count=low_conc,
-        violations=violations,
+        violations=[(i, g, PureState(row, (3, 3))) for i, g, row in violations],
     )
 
 

@@ -54,6 +54,18 @@ def _check_spin_value(s: float) -> float:
     return round(2 * s) / 2
 
 
+def check_unit_vector(name: str, v) -> np.ndarray:
+    """``v`` as a contiguous float array of shape (3,); raises ValueError
+    unless its Euclidean norm is within INPUT_TOL of 1."""
+    v = np.ascontiguousarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must have three components, got shape {v.shape}")
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > INPUT_TOL:
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
+    return v
+
+
 def spin_operators(s: float) -> SpinOperators:
     """Construct the spin component matrices (S1, S2, S3) for spin s.
 
@@ -82,11 +94,7 @@ def spin_projection(ops: SpinOperators, direction) -> np.ndarray:
     The result is Hermitian with spectrum {-s, ..., s}.  Rejects
     directions whose Euclidean norm deviates from 1 by more than 1e-9.
     """
-    r = np.asarray(direction, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"direction must have three components, got shape {r.shape}")
-    if abs(np.linalg.norm(r) - 1.0) > INPUT_TOL:
-        raise ValueError(f"direction must be a unit vector, |r| = {np.linalg.norm(r)}")
+    r = check_unit_vector("direction", direction)
     return r[0] * ops.components[0] + r[1] * ops.components[1] + r[2] * ops.components[2]
 
 

@@ -663,6 +663,7 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     Row i is sample start + i bit for bit in any batch; this is the one
     path from (seed, index) to a sample.
     """
+    dims = _check_dims(dims)
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
     check_key("seed", seed)
@@ -671,7 +672,7 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
         raise ValueError(f"sample count must be >= 0, got {count}")
     if count > 0:
         check_key("index", start + count - 1)
-    n = int(dims[0]) * int(dims[1])
+    n = dims[0] * dims[1]
     # uniform: real and imaginary parts uniform on [0, 1); all amplitudes lie
     # in the closed first quadrant before (and after) normalization.  haar:
     # independent standard complex Gaussians; invariant under rotations,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed
-from spinchsh import PureState, pure_to_density
+from spinchsh import PureState, Sym, cli, pure_to_density
 from spinchsh.cli import main
 
 
@@ -331,6 +331,36 @@ class TestValidate:
         data = json.loads(out)
         assert code == 2
         assert data["state"]["valid"] is False
+
+
+class TestWorkDoneOnce:
+
+    @pytest.mark.parametrize("command", ["gamma", "optimize", "concurrence", "validate"])
+    def test_family_state_built_once(self, capsys, monkeypatch, command):
+        built = []
+        state = Sym.state
+
+        def counted(spec):
+            built.append(spec)
+            return state(spec)
+
+        monkeypatch.setattr(Sym, "state", counted)
+        code, _ = run_cli(capsys, command, "--family", "sym",
+                          "--alpha11", "0.6", "--alpha22", "0.8", "--alpha33", "0")
+        assert code == 0
+        assert len(built) == 1
+
+    def test_parser_built_once_per_call(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        run_cli(capsys, "gamma", "--family", "ghz3")
+        assert len(calls) == 1
 
 
 def test_version_flag(capsys):

@@ -109,6 +109,19 @@ class TestOptimizeSettings:
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5), ("max_iterations", 1e3), ("restarts", 1.5), ("restarts", "8"),
+    ])
+    def test_non_integer_config_rejected(self, field, value):
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{field: value})
+
+    def test_config_stores_plain_ints(self):
+        cfg = OptimizerConfig(max_iterations=np.int64(40), restarts=True)
+        assert (cfg.max_iterations, cfg.restarts) == (40, 1)
+        assert type(cfg.max_iterations) is int and type(cfg.restarts) is int
+        assert optimize_settings(np.diag([0.5, 0.25, 0.0]), cfg).converged
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             optimize_settings(np.full((3, 3), np.nan))

@@ -21,7 +21,7 @@ from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh
                       table_rows, write_histogram_csv, write_sample_rows_csv)
 from spinchsh.correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
 from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
-from spinchsh import scan
+from spinchsh import cli, scan, states
 from spinchsh.states import sample_amplitude_batch
 
 
@@ -180,6 +180,54 @@ class TestRunScan:
         assert all(type(v) is int for v in (cfg.n_samples, cfg.seed, cfg.histogram_bins, cfg.workers))
         data = run_scan(cfg).to_json()
         assert data["n_samples"] == 1 and type(data["n_samples"]) is int
+
+
+class TestReportStates:
+    """The states a report names are the rows the scan drew, never drawn again."""
+
+    @pytest.fixture(autouse=True)
+    def _no_second_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report state was drawn a second time")
+
+        monkeypatch.setattr(states, "sample_pure_state", refuse)
+        monkeypatch.setattr(scan, "sample_pure_state", refuse, raising=False)
+
+    @staticmethod
+    def assert_own_row(state, row):
+        assert np.array_equal(state.amplitudes, row)
+        assert state.amplitudes.base is None        # not a view that keeps a chunk alive
+        assert not state.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    def test_argmax_state_is_the_drawn_row(self, sampler, workers):
+        n = CHUNK + 300   # two chunks
+        report = run_scan(ScanConfig(n_samples=n, sampler=sampler, seed=3, workers=workers))
+        batch = sample_amplitude_batch((3, 3), sampler, 3, 0, n)
+        self.assert_own_row(report.argmax_state, batch[report.argmax_index])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_violations_are_the_drawn_rows(self, monkeypatch, workers):
+        kernel = scan.batch_gamma_concurrence
+
+        def marked(amps, **kwargs):   # every 137th row of a chunk reads as gamma = 1.25
+            gamma, conc = kernel(amps, **kwargs)
+            gamma[::137] = 1.25
+            return gamma, conc
+
+        monkeypatch.setattr(scan, "batch_gamma_concurrence", marked)
+        n = 2 * CHUNK
+        report = run_scan(ScanConfig(n_samples=n, seed=4, workers=workers))
+        marked_rows = [start + i for start in (0, CHUNK) for i in range(0, CHUNK, 137)]
+        assert report.violation_count == len(marked_rows) > scan.VIOLATION_RECORD_CAP
+        assert [i for i, _, _ in report.violations] == marked_rows[:scan.VIOLATION_RECORD_CAP]
+        batch = sample_amplitude_batch((3, 3), "uniform", 4, 0, n)
+        for i, gamma, state in report.violations:
+            assert gamma == 1.25
+            self.assert_own_row(state, batch[i])
+        assert report.argmax_index == 0 and report.max_gamma == 1.25
+        self.assert_own_row(report.argmax_state, batch[0])
 
 
 def chunk(sampler="uniform", seed=3, start=0):
@@ -421,17 +469,44 @@ def report_digest(report) -> str:
     return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
 
 
-def benchmark_constants(*names) -> dict:
-    """Literal module-level constants of perfbench/scan_workloads.py, read
-    without importing it (it imports the benchmark's tracer)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scan_workloads.py"
+def benchmark_tree(module="scan_workloads") -> ast.Module:
+    """Syntax tree of a perfbench module, read without importing it (it
+    imports the benchmark's tracer)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module}.py"
+    return ast.parse(path.read_text())
+
+
+def benchmark_constants(*names, module="scan_workloads") -> dict:
+    """Literal module-level constants of a perfbench module."""
     found = {}
-    for node in ast.parse(path.read_text()).body:
+    for node in benchmark_tree(module).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name) and target.id in names:
                 found[target.id] = ast.literal_eval(node.value)
     return found
+
+
+class TestBenchmarkTracerNames:
+    """The benchmark traces by rebinding names inside spinchsh.scan and
+    spinchsh.cli; a name the program no longer has would silently go
+    untraced."""
+
+    def test_scan_tracer_names_are_scan_attributes(self):
+        rebound = [key.value for node in ast.walk(benchmark_tree())
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                   and [getattr(t, "id", None) for t in node.targets] == ["wrappers"]
+                   for key in node.value.keys]
+        assert sorted(rebound) == ["batch_gamma_concurrence", "correlation_from_coefficients",
+                                   "sample_amplitude_batch", "top_two_root"]
+        for name in rebound:
+            assert hasattr(scan, name), name
+
+    def test_cli_layers_are_cli_attributes(self):
+        layers = benchmark_constants("CLI_LAYERS", module="certify_workload")["CLI_LAYERS"]
+        assert len(layers) == 11
+        for name in [*layers, "build_parser"]:
+            assert hasattr(cli, name), name
 
 
 class TestReportDigests:

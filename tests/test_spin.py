@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from spinchsh import SpinOperators, spin_operators, spin_projection, validate_spin_algebra
+from spinchsh import (MeasurementSetting, SpinOperators, spin_operators, spin_projection,
+                      validate_spin_algebra)
+from spinchsh.spin import INPUT_TOL, check_unit_vector
 
 SQ2 = np.sqrt(2)
 
@@ -113,3 +115,26 @@ class TestProjection:
             spin_projection(ops, (1.0, 0.0, 0.01))
         with pytest.raises(ValueError):
             spin_projection(ops, (1.0, 0.0))
+
+
+class TestUnitVectorCheck:
+    """One check, one tolerance, for spin projections and measurement settings."""
+
+    def test_returns_float_array(self):
+        v = check_unit_vector("r", [0, 1, 0])
+        assert v.dtype == float and v.shape == (3,)
+        assert np.array_equal(v, [0.0, 1.0, 0.0])
+
+    def test_tolerance_is_input_tol(self):
+        check_unit_vector("r", (1.0 + 0.5 * INPUT_TOL, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"r must be a unit vector"):
+            check_unit_vector("r", (1.0 + 2 * INPUT_TOL, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, 0.0), "must have three components"), ((1.0, 0.0, 0.01), "must be a unit vector")])
+    def test_projection_and_setting_share_the_check(self, bad, message):
+        e3 = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=f"^direction {message}"):
+            spin_projection(spin_operators(1), bad)
+        with pytest.raises(ValueError, match=f"^b2 {message}"):
+            MeasurementSetting(e3, e3, e3, bad)

@@ -285,6 +285,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_pure_state((3, 3), "bogus", seed=0)
 
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    @pytest.mark.parametrize("dims", [(1, 3), (0, 4), (3,), (3, 3, 3), (3.0, 3), "33"])
+    def test_bad_dims_rejected(self, sampler, dims):
+        with pytest.raises(ValueError, match="dims"):
+            sample_amplitude_batch(dims, sampler, 0, 0, 4)
+        with pytest.raises(ValueError, match="dims"):
+            sample_amplitude_batch(dims, sampler, 0, 0, 0)
+        with pytest.raises(ValueError, match="dims"):
+            sample_pure_state(dims, sampler, seed=0)
+
 
 def keyed_uniform_rows(dims, seed, start, count):
     """Reference rows: numpy's own keyed Philox draws, normalized as the sampler does."""
