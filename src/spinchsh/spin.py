@@ -7,6 +7,7 @@ with eigenvalues s, s-1, ..., -s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class SpinOperators:
 
 def _check_spin_value(s: float) -> float:
     s = float(s)
-    if abs(2 * s - round(2 * s)) > INPUT_TOL or s < 0.5:
+    if not (math.isfinite(s) and s >= 0.5 and abs(2 * s - round(2 * s)) <= INPUT_TOL):
         raise ValueError(f"spin must be a half-integer >= 1/2, got {s}")
     return round(2 * s) / 2
 
@@ -61,7 +62,7 @@ def check_unit_vector(name: str, v) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"{name} must have three components, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > INPUT_TOL:
+    if not abs(norm - 1.0) <= INPUT_TOL:  # NaN fails
         raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
     return v
 

@@ -42,13 +42,15 @@ def physicality_residuals(matrix) -> dict:
     """Hermiticity, trace and positivity residuals of a square matrix rho.
 
     ``min_eigenvalue`` is that of the Hermitian part, which is rho itself
-    when rho is exactly Hermitian; ``valid`` says whether all three
+    when rho is exactly Hermitian, and NaN when rho has a non-finite entry
+    (eigvalsh does not converge on one); ``valid`` says whether all three
     residuals are within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.
     """
     m = np.asarray(matrix)
     herm = float(np.abs(m - m.conj().T).max())
     trace_dev = float(abs(m.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    finite = np.isfinite(m).all()
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]) if finite else math.nan
     return {
         "hermiticity_residual": herm,
         "trace_deviation": trace_dev,
@@ -143,10 +145,16 @@ def _to_pairs(values) -> list:
 
 def _from_pairs(pairs, shape: tuple) -> np.ndarray:
     """The complex array of ``shape`` from a row-major list of [re, im]
-    pairs; raises ValueError unless there is exactly one finite pair per entry."""
+    pairs, or from a float array of them (read without a copy); raises
+    ValueError unless there is exactly one pair of finite numbers per entry."""
     try:
-        pairs = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
+        if isinstance(pairs, np.ndarray):
+            numeric = pairs.dtype.kind in "iuf"
+        else:  # numpy would read the string "1" and True as 1.0
+            numeric = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                          for pair in pairs for x in pair)
+        pairs = np.asarray(pairs, dtype=float) if numeric else None
+    except (TypeError, ValueError):  # not nested lists, or ragged
         pairs = None
     if pairs is None or pairs.shape != (math.prod(shape), 2) or not np.isfinite(pairs).all():
         raise ValueError(f"expected a list of {math.prod(shape)} [re, im] pairs of finite numbers")
@@ -185,9 +193,9 @@ def mix(components) -> DensityMatrix:
     if not components:
         raise ValueError("mix() needs at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights <= 0):
+    if not np.all(weights > 0):  # NaN fails
         raise ValueError(f"weights must be positive, got {weights}")
-    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
+    if not abs(weights.sum() - 1.0) <= WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
     dims = components[0][1].dims
     if any(rho.dims != dims for _, rho in components):
@@ -230,7 +238,7 @@ class Family:
 
 def _check_unit_coefficients(name, *coeffs):
     total = sum(abs(c) ** 2 for c in coeffs)
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:  # NaN fails
         raise ValueError(f"{name} coefficients must have unit norm, got sum |a|^2 = {total!r}")
 
 

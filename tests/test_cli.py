@@ -109,6 +109,22 @@ class TestGamma:
             assert main(["gamma", "--family", "product", "--state-a", factor]) == 1, name
             assert capsys.readouterr().err.startswith("error: "), name
 
+    @pytest.mark.parametrize("first", [["1", "0"], [True, False]])
+    def test_string_and_boolean_pairs_exit_1(self, capsys, tmp_path, first):
+        amplitudes = [first] + [[0.0, 0.0]] * 8
+        bad = write_json(tmp_path / "bad.json", {"dims": [3, 3], "amplitudes": amplitudes})
+        factor = write_json(tmp_path / "factor.json", {"matrix": [first] + [[0.0, 0.0]] * 8})
+        for argv in (["gamma", "--state-file", bad], ["validate", "--state-file", bad],
+                     ["gamma", "--family", "product", "--state-a", factor]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith("error: expected a list of"), argv
+
+    def test_nan_coefficient_exit_1(self, capsys):
+        code = main(["gamma", "--family", "sym", "--alpha11", "nan", "--alpha22", "0", "--alpha33", "0"])
+        assert code == 1
+        assert "coefficients must have unit norm" in capsys.readouterr().err
+
     def test_invariant_failure_exit_2(self, capsys, tmp_path):
         matrix = [[0.0, 0.0]] * 81
         matrix[0] = [1.2, 0.0]

@@ -48,6 +48,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             spin_operators(bad)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spin_rejected(self, s):
+        with pytest.raises(ValueError, match=r"spin must be a half-integer"):
+            spin_operators(s)
+
 
 class TestValidation:
 
@@ -129,6 +134,16 @@ class TestUnitVectorCheck:
         check_unit_vector("r", (1.0 + 0.5 * INPUT_TOL, 0.0, 0.0))
         with pytest.raises(ValueError, match=r"r must be a unit vector"):
             check_unit_vector("r", (1.0 + 2 * INPUT_TOL, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, np.nan, 0.0)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"r must be a unit vector"):
+            check_unit_vector("r", bad)
+        with pytest.raises(ValueError, match=r"^direction must be a unit vector"):
+            spin_projection(spin_operators(1), bad)
+        e3 = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^a1 must be a unit vector"):
+            MeasurementSetting(bad, e3, e3, e3)
 
     @pytest.mark.parametrize("bad, message", [
         ((1.0, 0.0), "must have three components"), ((1.0, 0.0, 0.01), "must be a unit vector")])

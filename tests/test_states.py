@@ -1,6 +1,8 @@
 """State construction, named families, mixing, sampling, serialization."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +10,11 @@ import pytest
 
 from conftest import random_mixed, random_pure, random_qutrit_density, random_unit_triple
 from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
-                      Horodecki, Product, PureState, StateInvariantError, Sym,
+                      Horodecki, Product, PureState, ReducedState, StateInvariantError, Sym,
                       Werner, family_pure, family_state, mix, pure_to_density,
                       sample_pure_state, state_from_json, swap_operator)
 from spinchsh.states import keyed_generator, physicality_residuals, sample_amplitude_batch
-from spinchsh.states import _philox_raw, _ziggurat_fast_path
+from spinchsh.states import _from_pairs, _philox_raw, _ziggurat_fast_path
 from spinchsh import ziggurat
 
 
@@ -161,6 +163,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             Sym(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("family", [Antisym, Sym])
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), np.inf])
+    def test_non_finite_coefficients_rejected(self, family, bad):
+        with pytest.raises(ValueError, match="coefficients must have unit norm"):
+            family(bad, 0.0, 0.0)
+
     def test_product_family(self, rng):
         rho_a, rho_b = random_qutrit_density(rng), random_qutrit_density(rng)
         rho = family_state(Product(rho_a, rho_b))
@@ -208,6 +216,14 @@ class TestMix:
             mix([(0.6, rho), (0.3, rho)])
         with pytest.raises(ValueError):
             mix([])
+
+    @pytest.mark.parametrize("weights, message", [
+        ((np.nan,), "must be positive"), ((0.5, np.nan), "must be positive"),
+        ((np.inf,), "must sum to 1")])
+    def test_non_finite_weights_rejected(self, rng, weights, message):
+        rho = random_mixed(rng)
+        with pytest.raises(ValueError, match=message):
+            mix([(w, rho) for w in weights])
 
 
 class TestSampling:
@@ -446,14 +462,29 @@ class TestZigguratFastPath:
 
     def test_tables_match_installed_numpy(self):
         extract = load_extract_script()
-        try:
-            tables = extract.read_tables(extract.default_archive())
-        except extract.TableNotFound as exc:
-            pytest.skip(str(exc))
+        tables = extract.probe_tables()
         assert tables["ki_double"] == ziggurat.KI_DOUBLE
         assert [v.hex() for v in tables["wi_double"]] == [v.hex() for v in ziggurat.WI_DOUBLE]
         # the committed module is exactly what the script writes
         assert extract.render(tables) == Path(ziggurat.__file__).read_text()
+
+    def test_script_writes_the_committed_module(self, tmp_path, monkeypatch):
+        # run end to end, recording every file opened: none is numpy's
+        numpy_dir = Path(np.__file__).resolve().parent
+        opened, recording = [], [True]
+        sys.addaudithook(lambda event, args: recording[0] and event == "open"
+                         and opened.append(args[0]))
+        try:
+            extract = load_extract_script()
+            monkeypatch.setattr(extract, "OUT", tmp_path / "ziggurat.py")
+            extract.main()
+            first = extract.OUT.read_bytes()
+            extract.main()
+        finally:
+            recording[0] = False
+        assert first == extract.OUT.read_bytes() == Path(ziggurat.__file__).read_bytes()
+        paths = [Path(os.fsdecode(p)).resolve() for p in opened if not isinstance(p, int)]
+        assert paths and not [p for p in paths if p.is_relative_to(numpy_dir)]
 
 
 class TestKeyDomain:
@@ -540,6 +571,21 @@ class TestPhysicalityResiduals:
         with pytest.raises(StateInvariantError):
             DensityMatrix(m, (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_matrix_is_not_valid(self, bad, entry):
+        m = np.eye(3, dtype=complex) / 3
+        m[entry] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf
+            res = physicality_residuals(m)
+            assert res["valid"] is False and np.isnan(res["min_eigenvalue"])
+            with pytest.raises(StateInvariantError):
+                DensityMatrix(np.kron(m, np.eye(3) / 3), (3, 3))
+            with pytest.raises(StateInvariantError):
+                Product(m, np.eye(3) / 3)
+            with pytest.raises(StateInvariantError):
+                ReducedState(m, 1 / 3)
+
 
 class TestSerialization:
 
@@ -562,3 +608,15 @@ class TestSerialization:
     def test_dispatch_requires_known_key(self):
         with pytest.raises(ValueError):
             state_from_json({"dims": [3, 3]})
+
+    @pytest.mark.parametrize("first", [["1", "0"], [True, False], [1.0, True], [1, False]])
+    def test_strings_and_booleans_rejected(self, first):
+        # numpy would read each of these as the number 1 + 0j
+        data = {"dims": [3, 3], "amplitudes": [first] + [[0.0, 0.0]] * 8}
+        with pytest.raises(ValueError, match="pairs of finite numbers"):
+            state_from_json(data)
+
+    @pytest.mark.parametrize("dtype", [bool, str])
+    def test_non_numeric_arrays_rejected(self, dtype):
+        with pytest.raises(ValueError, match="pairs of finite numbers"):
+            _from_pairs(np.array([[1, 0]], dtype=dtype), (1,))
