@@ -2,8 +2,10 @@
 
 Every case runs ``spinchsh.cli.main`` in process and compares the bytes it
 prints with ``tests/data/cli_golden.json``.  The cases cover ``gamma``,
-``concurrence``, ``validate`` and ``optimize`` for every family, ``validate``
-on malformed state files, flag errors, and ``--help`` for each subcommand.
+``concurrence``, ``validate`` and ``optimize`` for every family, ``sweep``,
+``validate`` on malformed state files, flag errors, an unknown subcommand,
+``--decimals`` before and after the subcommand, and ``--help`` for each
+subcommand.
 
 Regenerate the golden file (only when a change of output is intended) with
 
@@ -76,8 +78,12 @@ def _cases():
         ["concurrence", "--family", "example1"],
         ["gamma"],
         ["scan"],
+        ["bogus"],
+        ["gamma", "--family", "ghz3", "--bogus"],
+        ["gamma", "--family", "ghz3", "--decimals", "3"],
+        ["sweep", "--example", "werner", "--points", "3"],
     ]
-    cases.append(["--help"])
+    cases += [["--help"], ["gamma", "-h"]]
     cases += [[command, "--help"]
               for command in ("gamma", "sweep", "scan", "optimize", "concurrence", "validate")]
     return cases
@@ -111,7 +117,7 @@ def golden():
 
 @pytest.mark.parametrize("argv", _cases(), ids=_key)
 def test_cli_output_matches_golden(argv, golden, tmp_path, monkeypatch):
-    if "--help" in argv and sys.version_info[:2] != tuple(golden["help_python"]):
+    if {"-h", "--help"} & set(argv) and sys.version_info[:2] != tuple(golden["help_python"]):
         pytest.skip("argparse help layout differs between Python versions")
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(argv, tmp_path)
