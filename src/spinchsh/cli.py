@@ -39,6 +39,27 @@ GAP_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser that exits 1 on malformed flags and may add its
+    arguments late.
+
+    ``arguments``, a function of the parser, runs once, just before the
+    parser's first ``parse_known_args``, and adds ``-h`` first.  argparse
+    hands a subcommand's arguments to its parser through that method, so only
+    the subcommand a call names ever builds its arguments.
+    """
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, add_help=arguments is None, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            add, self._arguments = self._arguments, None
+            self.add_argument("-h", "--help", action="help",
+                              help="show this help message and exit")
+            add(self)
+        return super().parse_known_args(args, namespace)
+
     # malformed flags are malformed input: exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -229,44 +250,49 @@ def _cmd_validate(args) -> int:
     return 0 if checks["valid"] and algebra_ok else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spinchsh",
-                     description="CHSH maxima under local spin measurements on two-qudit states")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+# a flag that two families share (--t) is added once
+_FAMILY_FLAGS = tuple({flag.name: flag for family in FAMILIES.values()
+                       for flag in family.flags}.values())
+
+
+def _add_decimals(p):
     # accepted both before and after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level
-    decimals = _Parser(add_help=False)
-    decimals.add_argument("--decimals", type=int, default=argparse.SUPPRESS,
-                          help="round printed floats to this many decimal places "
-                               "(default: 12 significant digits)")
-    parser.add_argument("--decimals", type=int, default=None, help=argparse.SUPPRESS)
-    source = _Parser(add_help=False)
-    source.add_argument("--family", choices=list(FAMILIES),
-                        help="named two-qutrit family")
-    source.add_argument("--state-file", metavar="JSON",
-                        help="state file with 'dims' plus 'amplitudes' or 'matrix'")
-    source.add_argument("--spin", type=float, default=None,
-                        help="measured spin (default: inferred from dimensions)")
-    # a flag that two families share (--t) is added once
-    flags = {flag.name: flag for family in FAMILIES.values() for flag in family.flags}
-    for flag in flags.values():
-        source.add_argument(flag.name, type=flag.type, default=None,
-                            help=flag.help, metavar=flag.metavar)
-    subs = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--decimals", type=int, default=argparse.SUPPRESS,
+                   help="round printed floats to this many decimal places "
+                        "(default: 12 significant digits)")
 
-    p = subs.add_parser("gamma", parents=[decimals, source], help="CHSH parameter of a state")
+
+def _add_source(p):
+    p.add_argument("--family", choices=list(FAMILIES), help="named two-qutrit family")
+    p.add_argument("--state-file", metavar="JSON",
+                   help="state file with 'dims' plus 'amplitudes' or 'matrix'")
+    p.add_argument("--spin", type=float, default=None,
+                   help="measured spin (default: inferred from dimensions)")
+    for flag in _FAMILY_FLAGS:
+        p.add_argument(flag.name, type=flag.type, default=None,
+                       help=flag.help, metavar=flag.metavar)
+
+
+def _state_arguments(p):
+    _add_decimals(p)
+    _add_source(p)
+
+
+def _formatted_state_arguments(p):
+    _state_arguments(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_gamma)
 
-    p = subs.add_parser("sweep", parents=[decimals],
-                        help="curve data for the one-parameter families")
+
+def _sweep_arguments(p):
+    _add_decimals(p)
     p.add_argument("--example", choices=("1", "2", "werner"), required=True)
     p.add_argument("--points", type=int, default=101, help="grid size (>= 2)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = subs.add_parser("scan", parents=[decimals],
-                        help="Monte Carlo scan over random pure two-qutrit states")
+
+def _scan_arguments(p):
+    _add_decimals(p)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--sampler", choices=("uniform", "haar", "paper"), default="uniform",
                    help="uniform: re/im parts uniform on [0,1) (alias: paper); "
@@ -279,24 +305,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows-out", metavar="CSV", default=None)
     p.add_argument("--rows", type=int, default=50,
                    help="number of leading samples for --rows-out")
-    p.set_defaults(func=_cmd_scan)
 
-    p = subs.add_parser("optimize", parents=[decimals, source],
-                        help="maximize the CHSH expectation over settings")
+
+def _optimize_arguments(p):
+    _state_arguments(p)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--tol", type=float, default=OptimizerConfig.convergence_tol)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_optimize)
 
-    p = subs.add_parser("concurrence", parents=[decimals, source], help="pure-state concurrence")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_concurrence)
 
-    p = subs.add_parser("validate", parents=[decimals, source],
-                        help="invariant checks for a state and the spin algebra")
-    p.set_defaults(func=_cmd_validate)
+# subcommand: (help, function, arguments), in the order --help lists them
+_COMMANDS = {
+    "gamma": ("CHSH parameter of a state", _cmd_gamma, _formatted_state_arguments),
+    "sweep": ("curve data for the one-parameter families", _cmd_sweep, _sweep_arguments),
+    "scan": ("Monte Carlo scan over random pure two-qutrit states", _cmd_scan, _scan_arguments),
+    "optimize": ("maximize the CHSH expectation over settings", _cmd_optimize,
+                 _optimize_arguments),
+    "concurrence": ("pure-state concurrence", _cmd_concurrence, _formatted_state_arguments),
+    "validate": ("invariant checks for a state and the spin algebra", _cmd_validate,
+                 _state_arguments),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser; each subcommand adds its arguments when it first parses."""
+    parser = _Parser(prog="spinchsh",
+                     description="CHSH maxima under local spin measurements on two-qudit states")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--decimals", type=int, default=None, help=argparse.SUPPRESS)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help, func, arguments) in _COMMANDS.items():
+        subs.add_parser(name, help=help, arguments=arguments).set_defaults(func=func)
     return parser
 
 

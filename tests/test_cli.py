@@ -379,6 +379,65 @@ class TestWorkDoneOnce:
         assert len(calls) == 1
 
 
+# every state-source flag, unset
+NO_SOURCE = dict.fromkeys(["family", "state_file", "spin", "alpha12", "alpha13", "alpha23",
+                           "alpha11", "alpha22", "alpha33", "phi", "tau", "t",
+                           "state_a", "state_b"])
+
+
+class TestParser:
+    """The parser adds a subcommand's arguments only when a call names it,
+    and parses every subcommand as the eagerly built parser did."""
+
+    # vars(parse_args(argv)), func by name, as written by the eager parser
+    PARSED = [
+        (["gamma", "--family", "ghz3"],
+         {**NO_SOURCE, "decimals": None, "command": "gamma", "family": "ghz3",
+          "format": "json", "func": "_cmd_gamma"}),
+        (["--decimals", "4", "sweep", "--example", "1"],
+         {"decimals": 4, "command": "sweep", "example": "1", "points": 101, "out": None,
+          "func": "_cmd_sweep"}),
+        (["scan", "--n", "10", "--decimals", "2"],
+         {"decimals": 2, "command": "scan", "n": 10, "sampler": "uniform", "seed": 0,
+          "hist_bins": 40, "workers": 1, "report_out": None, "hist_out": None,
+          "rows_out": None, "rows": 50, "func": "_cmd_scan"}),
+        (["optimize", "--state-file", "s.json", "--seed", "3"],
+         {**NO_SOURCE, "decimals": None, "command": "optimize", "state_file": "s.json",
+          "restarts": 8, "max_iter": 500, "tol": 1e-12, "seed": 3, "func": "_cmd_optimize"}),
+        (["concurrence", "--family", "example1", "--t", "0.25", "--format", "csv"],
+         {**NO_SOURCE, "decimals": None, "command": "concurrence", "family": "example1",
+          "t": 0.25, "format": "csv", "func": "_cmd_concurrence"}),
+        (["validate", "--family", "werner", "--phi", "0.5", "--spin", "1"],
+         {**NO_SOURCE, "decimals": None, "command": "validate", "family": "werner",
+          "phi": 0.5, "spin": 1.0, "func": "_cmd_validate"}),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", PARSED, ids=[argv[0] for argv, _ in PARSED])
+    def test_parsed_namespace(self, argv, expected):
+        parsed = vars(cli.build_parser().parse_args(argv))
+        parsed["func"] = parsed["func"].__name__
+        assert parsed == expected
+
+    def test_fresh_parser_per_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_fills_only_the_named_subcommand(self, capsys, monkeypatch):
+        parsers = []
+        build = cli.build_parser
+
+        def kept():
+            parsers.append(build())
+            return parsers[-1]
+
+        monkeypatch.setattr(cli, "build_parser", kept)
+        code, _ = run_cli(capsys, "sweep", "--example", "werner", "--points", "3")
+        assert code == 0
+        subcommands = next(a for a in parsers[0]._actions if a.dest == "command").choices
+        assert sorted(subcommands) == ["concurrence", "gamma", "optimize", "scan", "sweep",
+                                       "validate"]
+        assert {name for name, sub in subcommands.items() if sub._actions} == {"sweep"}
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
