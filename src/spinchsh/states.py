@@ -42,15 +42,18 @@ def physicality_residuals(matrix) -> dict:
     """Hermiticity, trace and positivity residuals of a square matrix rho.
 
     ``min_eigenvalue`` is that of the Hermitian part, which is rho itself
-    when rho is exactly Hermitian, and NaN when rho has a non-finite entry
-    (eigvalsh does not converge on one); ``valid`` says whether all three
-    residuals are within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.
+    when rho is exactly Hermitian; ``valid`` says whether all three
+    residuals are within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.  A matrix
+    with a non-finite entry has no residuals: all three are NaN (inf - inf
+    has no value, and eigvalsh does not converge on one) and it is not valid.
     """
     m = np.asarray(matrix)
-    herm = float(np.abs(m - m.conj().T).max())
-    trace_dev = float(abs(m.trace() - 1.0))
-    finite = np.isfinite(m).all()
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]) if finite else math.nan
+    if np.isfinite(m).all():
+        herm = float(np.abs(m - m.conj().T).max())
+        trace_dev = float(abs(m.trace() - 1.0))
+        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    else:
+        herm = trace_dev = min_eig = math.nan
     return {
         "hermiticity_residual": herm,
         "trace_deviation": trace_dev,

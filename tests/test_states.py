@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -585,6 +586,23 @@ class TestPhysicalityResiduals:
                 Product(m, np.eye(3) / 3)
             with pytest.raises(StateInvariantError):
                 ReducedState(m, 1 / 3)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1)], [(0, 0), (1, 1)]])
+    def test_non_finite_matrix_checked_without_warnings(self, dtype, bad, entries):
+        # inf - inf in the Hermiticity residual, inf + -inf in the trace
+        m = np.eye(9, dtype=dtype) / 9
+        for sign, entry in zip((1, -1), entries):
+            m[entry] = sign * bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = physicality_residuals(m)
+            with pytest.raises(StateInvariantError):
+                DensityMatrix(m, (3, 3))
+        assert res["valid"] is False
+        assert all(np.isnan(res[name])
+                   for name in ("hermiticity_residual", "trace_deviation", "min_eigenvalue"))
 
 
 class TestSerialization:
