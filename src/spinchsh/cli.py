@@ -11,6 +11,11 @@ Subcommands expose the library analyses with JSON/CSV output:
 
 Exit codes: 0 success, 1 malformed input or flags, 2 invariant failure,
 3 CHSH violation detected by ``gamma``, 4 optimizer non-convergence.
+
+``build_parser`` returns a new parser on every call, and ``main`` builds one
+per call.  It holds the top-level flags and a bare parser for each
+subcommand; a subcommand adds its own arguments, ``-h`` included, only when
+a call names it, so one call builds one subcommand's arguments, not six.
 """
 
 from __future__ import annotations
@@ -334,9 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="CHSH maxima under local spin measurements on two-qudit states")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--decimals", type=int, default=None, help=argparse.SUPPRESS)
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help, func, arguments) in _COMMANDS.items():
-        subs.add_parser(name, help=help, arguments=arguments).set_defaults(func=func)
+    # the subcommands' prog prefix, given so that argparse does not format
+    # the top-level usage to find it on every build; with no positional
+    # before the subcommand the two agree
+    subs = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                 parser_class=_Parser)
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        subs.add_parser(name, help=summary, arguments=arguments).set_defaults(func=func)
     return parser
 
 
