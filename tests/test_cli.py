@@ -1,6 +1,7 @@
 """Command line interface: values, formats, and exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -266,6 +267,28 @@ class TestScan:
         with pytest.raises(SystemExit) as err:
             main(["scan", "--n", "10", "--sampler", "gaussian"])
         assert err.value.code == 1
+
+
+class TestWrittenFiles:
+    """The bytes of the CSV files ``sweep --out``, ``scan --hist-out`` and
+    ``scan --rows-out`` write, pinned by SHA-256."""
+
+    SHA256 = {
+        "sweep.csv": "833552f7d5fcb061af4b369f8e8ffc2677e1c2f859f4a1dcc75a0605c59de9de",
+        "hist.csv": "8153176f4d0fa9fc79e409ccc70ff1a3a77568d990d337dc0d24a095267ecb2a",
+        "rows.csv": "83348bffb5bdde8f003f7dadee659bb04ac0f4a384c6993ece26b57ea1850813",
+    }
+
+    def test_file_digests(self, capsys, tmp_path):
+        path = {name: str(tmp_path / name) for name in self.SHA256}
+        assert main(["sweep", "--example", "2", "--points", "11", "--out", path["sweep.csv"]]) == 0
+        assert main(["scan", "--n", "300", "--seed", "4", "--hist-bins", "7",
+                     "--hist-out", path["hist.csv"], "--rows-out", path["rows.csv"],
+                     "--rows", "20"]) == 0
+        assert capsys.readouterr().out == "max_gamma=0.952381709601 violation_count=0\n"
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.SHA256}
+        assert digests == self.SHA256
 
 
 class TestOptimize:

@@ -82,6 +82,9 @@ def _cases():
         ["gamma", "--family", "ghz3", "--bogus"],
         ["gamma", "--family", "ghz3", "--decimals", "3"],
         ["sweep", "--example", "werner", "--points", "3"],
+        ["sweep", "--example", "1", "--points", "3"],
+        ["sweep", "--example", "2", "--points", "3"],
+        ["--decimals", "4", "sweep", "--example", "2", "--points", "5"],
     ]
     cases += [["--help"], ["gamma", "-h"]]
     cases += [[command, "--help"]
