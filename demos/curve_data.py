@@ -10,27 +10,27 @@ A Werner sweep over the mixing parameter is appended.
 
 import numpy as np
 
-from spinchsh import Example1, Example2, Werner, analytic_curves, analytic_gamma
+from spinchsh import Example1, Example2, Werner, analytic_concurrence, analytic_gamma
 
-GRID = np.linspace(0.0, 1.0, 21)
+GRID = np.linspace(*Example1.interval, 21)  # the t interval Example1 and Example2 share
 
 print("# family 1: (1-t)|11> + t|33>, normalized")
 print("t,gamma,concurrence")
 for t in GRID:
-    gamma, conc = analytic_curves(Example1(float(t)))
-    print(f"{t:.2f},{gamma:.10f},{conc:.10f}")
+    spec = Example1(float(t))
+    print(f"{t:.2f},{analytic_gamma(spec):.10f},{analytic_concurrence(spec):.10f}")
 
 print()
 print("# family 2: |11> -> GHZ ramp")
 print("t,gamma,concurrence")
 for t in GRID:
-    gamma, conc = analytic_curves(Example2(float(t)))
-    print(f"{t:.2f},{gamma:.10f},{conc:.10f}")
+    spec = Example2(float(t))
+    print(f"{t:.2f},{analytic_gamma(spec):.10f},{analytic_concurrence(spec):.10f}")
 
 print()
 print("# Werner family (no pure-state concurrence; mixed for phi < 0 nonseparable)")
 print("phi,gamma")
-for phi in np.linspace(-1.0, 1.0, 21):
+for phi in np.linspace(*Werner.interval, 21):
     print(f"{phi:+.2f},{analytic_gamma(Werner(float(phi))):.10f}")
 
 print()

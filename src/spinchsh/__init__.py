@@ -10,15 +10,14 @@ pure two-qutrit states for violations of the CHSH inequality.
 __version__ = "0.1.0"
 
 from .correlations import (ChshAnalysis, CorrelationMatrix, MeasurementSetting,
-                           analytic_curves, analytic_gamma, chsh_analysis,
-                           chsh_expectation, correlation_from_coefficients,
+                           analytic_gamma, chsh_analysis, chsh_expectation,
+                           correlation_from_coefficients,
                            correlation_matrix_coeff, correlation_matrix_trace)
 from .entanglement import (ReducedState, analytic_concurrence,
                            concurrence_pure, partial_trace)
 from .optimizer import (OptimizationResult, OptimizerConfig, bilinear_reduce,
                         optimize_settings, settings_from_svd)
-from .scan import (ScanConfig, ScanReport, run_scan, table_rows,
-                   write_histogram_csv, write_sample_rows_csv)
+from .scan import ScanConfig, ScanReport, run_scan, table_rows
 from .spin import (SpinOperators, spin_operators, spin_projection,
                    validate_spin_algebra)
 from .states import (Antisym, DensityMatrix, Example1, Example2,
@@ -37,10 +36,9 @@ __all__ = [
     "CorrelationMatrix", "ChshAnalysis", "MeasurementSetting",
     "correlation_matrix_trace", "correlation_matrix_coeff",
     "correlation_from_coefficients", "chsh_analysis", "chsh_expectation",
-    "analytic_gamma", "analytic_curves",
+    "analytic_gamma",
     "OptimizerConfig", "OptimizationResult", "bilinear_reduce",
     "optimize_settings", "settings_from_svd",
     "ReducedState", "partial_trace", "concurrence_pure", "analytic_concurrence",
     "ScanConfig", "ScanReport", "run_scan", "table_rows",
-    "write_histogram_csv", "write_sample_rows_csv",
 ]

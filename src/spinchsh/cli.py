@@ -12,6 +12,11 @@ Subcommands expose the library analyses with JSON/CSV output:
 Exit codes: 0 success, 1 malformed input or flags, 2 invariant failure,
 3 CHSH violation detected by ``gamma``, 4 optimizer non-convergence.
 
+The CLI reads its tables rather than repeating them: ``states.FAMILIES``
+(``--family`` and its flags), ``_SWEEPS`` (``sweep --example``; a family's
+interval gives the grid), ``states.SAMPLERS`` (``scan --sampler``) and
+``scan.TABLE_COLUMNS`` (``--rows-out``); ``_write_csv`` writes every CSV.
+
 ``build_parser`` returns a new parser on every call, and ``main`` builds one
 per call.  It holds the top-level flags and a bare parser for each
 subcommand; a subcommand adds its own arguments, ``-h`` included, only when
@@ -24,23 +29,25 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import __version__
-from .correlations import (analytic_curves, analytic_gamma, chsh_analysis,
-                           correlation_matrix_trace)
+from .correlations import analytic_gamma, chsh_analysis, correlation_matrix_trace
 from .entanglement import analytic_concurrence, concurrence_pure
 from .optimizer import OptimizerConfig, optimize_settings
-from .scan import (ScanConfig, run_scan, table_rows, write_histogram_csv,
-                   write_sample_rows_csv)
+from .scan import TABLE_COLUMNS, ScanConfig, run_scan, table_rows
 from .spin import SPIN_ALGEBRA_TOL, spin_operators, validate_spin_algebra
-from .states import (FAMILIES, Example1, Example2, PureState,
+from .states import (FAMILIES, SAMPLERS, Example1, Example2, PureState,
                      StateInvariantError, Werner, _read_state, family_pure,
                      family_state, norm_residuals, physicality_residuals,
                      pure_to_density, state_from_json)
 
 GAP_TOL = 1e-6
+
+# sweep --example: the one-parameter families whose curves sweep writes
+_SWEEPS = {"1": Example1, "2": Example2, "werner": Werner}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,8 +80,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round_floats(obj, decimals):
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if decimals is None:
             return float(f"{obj:.12g}")
@@ -88,6 +93,14 @@ def _round_floats(obj, decimals):
 
 def _print_json(obj, decimals):
     print(json.dumps(_round_floats(obj, decimals), indent=2))
+
+
+def _write_csv(path, header, rows) -> None:
+    """CSV of a header row and ``rows``, to ``path`` or, with none, to stdout."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _family_from_args(args):
@@ -150,26 +163,16 @@ def _cmd_gamma(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise ValueError("--points must be >= 2")
+    family = _SWEEPS[args.example]
+    header = [family.flags[0].name[2:], "gamma"] + (["concurrence"] if family.pure else [])
     rows = []
-    if args.example == "werner":
-        header = ["phi", "gamma"]
-        for phi in np.linspace(-1.0, 1.0, args.points):
-            rows.append([float(phi), analytic_gamma(Werner(float(phi)))])
-    else:
-        family = Example1 if args.example == "1" else Example2
-        header = ["t", "gamma", "concurrence"]
-        for t in np.linspace(0.0, 1.0, args.points):
-            gamma, conc = analytic_curves(family(float(t)))
-            rows.append([float(t), gamma, conc])
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_round_floats(v, args.decimals) for v in row])
-    finally:
-        if args.out:
-            out.close()
+    for x in np.linspace(*family.interval, args.points):
+        spec = family(float(x))
+        row = [float(x), analytic_gamma(spec)]
+        if family.pure:
+            row.append(analytic_concurrence(spec))
+        rows.append([_round_floats(v, args.decimals) for v in row])
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -187,9 +190,9 @@ def _cmd_scan(args) -> int:
         with open(args.report_out, "w") as fh:
             json.dump(_round_floats(report.to_json(), args.decimals), fh, indent=2)
     if args.hist_out:
-        write_histogram_csv(args.hist_out, report)
+        _write_csv(args.hist_out, ["bin_lo", "bin_hi", "count"], report.histogram)
     if args.rows_out:
-        write_sample_rows_csv(args.rows_out, rows)
+        _write_csv(args.rows_out, TABLE_COLUMNS, rows)
     print(f"max_gamma={_round_floats(report.max_gamma, args.decimals)} "
           f"violation_count={report.violation_count}")
     return 0
@@ -291,7 +294,7 @@ def _formatted_state_arguments(p):
 
 def _sweep_arguments(p):
     _add_decimals(p)
-    p.add_argument("--example", choices=("1", "2", "werner"), required=True)
+    p.add_argument("--example", choices=list(_SWEEPS), required=True)
     p.add_argument("--points", type=int, default=101, help="grid size (>= 2)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
@@ -299,7 +302,7 @@ def _sweep_arguments(p):
 def _scan_arguments(p):
     _add_decimals(p)
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--sampler", choices=("uniform", "haar", "paper"), default="uniform",
+    p.add_argument("--sampler", choices=(*SAMPLERS, "paper"), default="uniform",
                    help="uniform: re/im parts uniform on [0,1) (alias: paper); "
                         "haar: rotation-invariant Gaussian")
     p.add_argument("--seed", type=int, default=0)
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
     except StateInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

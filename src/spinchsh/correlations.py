@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import analytic_concurrence
 from .spin import SpinOperators, check_unit_vector, spin_projection
 from .states import DensityMatrix, Family, family_of
 
@@ -239,9 +238,3 @@ def analytic_gamma(spec: Family) -> float:
     The formula is the family's ``gamma()``; see ``states.FAMILIES``.
     """
     return family_of(spec).gamma(spec)
-
-
-def analytic_curves(spec) -> tuple:
-    """(gamma, concurrence) of a pure family member, such as the
-    one-parameter curve families Example1/Example2; mixed families raise."""
-    return analytic_gamma(spec), analytic_concurrence(spec)

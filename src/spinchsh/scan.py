@@ -8,11 +8,13 @@ Reports are therefore byte-identical across worker counts.
 
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
 records such states in full rather than treating them as errors.
+
+The scan writes no files; the command line writes its report and the
+``table_rows`` rows, whose columns ``TABLE_COLUMNS`` names.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import operator
@@ -274,7 +276,8 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         parts = [_scan_chunk(t) for t in tasks]
     else:
         with Pool(processes=min(cfg.workers, len(tasks))) as pool:
-            parts = pool.map(_scan_chunk, tasks)
+            # one chunk per hand-out: no worker idles while another runs a last batch
+            parts = pool.map(_scan_chunk, tasks, chunksize=1)
 
     best = max(parts, key=lambda part: part["max_gamma"])  # first maximum in chunk order
     violation_count = sum(part["violation_count"] for part in parts)
@@ -307,11 +310,17 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     )
 
 
+# Columns of table_rows: re and im of each amplitude psi_mk (1-based), then gamma.
+TABLE_COLUMNS = tuple(f"psi{m}{k}_{part}" for m in range(1, 4) for k in range(1, 4)
+                      for part in ("re", "im")) + ("gamma",)
+
+
 def table_rows(cfg: ScanConfig, k: int, decimals: int = 2) -> list:
     """First k sampled states as flat rows of rounded floats.
 
     Each row holds the 18 amplitude components (re, im interleaved in
-    row-major state order) followed by gamma, all rounded to ``decimals``.
+    row-major state order) followed by gamma, all rounded to ``decimals``;
+    TABLE_COLUMNS names them.
     """
     if k < 0:
         raise ValueError(f"number of rows k = {k} must be >= 0")
@@ -324,23 +333,3 @@ def table_rows(cfg: ScanConfig, k: int, decimals: int = 2) -> list:
         row = [round(x, decimals) for pair in _to_pairs(amps[i]) for x in pair]
         rows.append(row + [round(float(gamma[i]), decimals)])
     return rows
-
-
-def write_histogram_csv(path, report: ScanReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in report.histogram:
-            writer.writerow([lo, hi, count])
-
-
-def write_sample_rows_csv(path, rows) -> None:
-    header = []
-    for m in range(1, 4):
-        for k in range(1, 4):
-            header += [f"psi{m}{k}_re", f"psi{m}{k}_im"]
-    header.append("gamma")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

@@ -9,6 +9,9 @@ is the matrix element between |m k> and |m2 k2> (all indices 0-based).
 State files hold these arrays as row-major ``[re, im]`` pairs, decoded only by
 ``_from_pairs`` (through ``_read_state`` for state files) and written only by
 ``_to_pairs``; ``sample_pure_state`` is a batch of one.
+
+A one-parameter family states its parameter's closed interval once, as the
+class attribute ``interval`` that its range check, flag help and sweep read.
 """
 
 from __future__ import annotations
@@ -44,16 +47,20 @@ def physicality_residuals(matrix) -> dict:
     ``min_eigenvalue`` is that of the Hermitian part, which is rho itself
     when rho is exactly Hermitian; ``valid`` says whether all three
     residuals are within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.  A matrix
-    with a non-finite entry has no residuals: all three are NaN (inf - inf
-    has no value, and eigvalsh does not converge on one) and it is not valid.
+    whose Hermitian part is not finite, through a non-finite entry or two
+    entries whose sum overflows, has no residuals: all three are NaN (inf -
+    inf has no value, and eigvalsh does not converge on one) and it is not
+    valid.  Other huge entries may overflow a residual to inf, not a warning.
     """
     m = np.asarray(matrix)
-    if np.isfinite(m).all():
-        herm = float(np.abs(m - m.conj().T).max())
-        trace_dev = float(abs(m.trace() - 1.0))
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    else:
-        herm = trace_dev = min_eig = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian_part = (m + m.conj().T) / 2
+        if np.isfinite(hermitian_part).all():
+            herm = float(np.abs(m - m.conj().T).max())
+            trace_dev = float(abs(m.trace() - 1.0))
+            min_eig = float(np.linalg.eigvalsh(hermitian_part)[0])
+        else:
+            herm = trace_dev = min_eig = math.nan
     return {
         "hermiticity_residual": herm,
         "trace_deviation": trace_dev,
@@ -63,8 +70,10 @@ def physicality_residuals(matrix) -> dict:
 
 
 def norm_residuals(amplitudes) -> dict:
-    """Normalization residual of an amplitude vector, and whether it is within NORM_TOL."""
-    deviation = float(abs(np.sum(np.abs(amplitudes) ** 2) - 1.0))
+    """Normalization residual of an amplitude vector (inf if a square
+    overflows), and whether it is within NORM_TOL."""
+    with np.errstate(over="ignore"):
+        deviation = float(abs(np.sum(np.abs(amplitudes) ** 2) - 1.0))
     return {"norm_deviation": deviation, "valid": deviation <= NORM_TOL}
 
 
@@ -239,6 +248,21 @@ class Family:
         return cls(*values)
 
 
+def _span(interval) -> str:
+    return "[{}, {}]".format(*interval)
+
+
+class _OneParameter(Family):
+    """A family of one real parameter, named as its one flag is, that must
+    lie in the closed ``interval`` (lo, hi), a class attribute."""
+
+    def __post_init__(self):
+        name = self.flags[0].name[2:]
+        value = getattr(self, name)
+        if not self.interval[0] <= value <= self.interval[1]:  # NaN fails
+            raise ValueError(f"{name} must lie in {_span(self.interval)}, got {value}")
+
+
 def _check_unit_coefficients(name, *coeffs):
     total = sum(abs(c) ** 2 for c in coeffs)
     if not abs(total - 1.0) <= NORM_TOL:  # NaN fails
@@ -337,19 +361,14 @@ class GHZ3(_SymMember):
 
 
 @dataclass(frozen=True)
-class Werner(Family):
-    """Two-qutrit Werner state: mixture of identity and the swap operator.
-
-    phi in [-1, 1]; separable iff phi >= 0.
-    """
+class Werner(_OneParameter):
+    """Two-qutrit Werner state: mixture of identity and the swap operator;
+    separable iff phi >= 0."""
 
     phi: float
 
-    flags = (Flag("--phi", float, "Werner mixing parameter in [-1, 1]"),)
-
-    def __post_init__(self):
-        if not -1.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi must lie in [-1, 1], got {self.phi}")
+    interval = (-1, 1)
+    flags = (Flag("--phi", float, f"Werner mixing parameter in {_span(interval)}"),)
 
     def state(self) -> DensityMatrix:
         rho = (3 - self.phi) / 24 * np.eye(9) + (3 * self.phi - 1) / 24 * swap_operator(3)
@@ -360,17 +379,14 @@ class Werner(Family):
 
 
 @dataclass(frozen=True)
-class Horodecki(Family):
+class Horodecki(_OneParameter):
     """One-parameter two-qutrit mixture spanning separable, bound-entangled
-    and free-entangled regimes as tau runs over [2, 5]."""
+    and free-entangled regimes as tau runs over its interval."""
 
     tau: float
 
-    flags = (Flag("--tau", float, "Horodecki parameter in [2, 5]"),)
-
-    def __post_init__(self):
-        if not 2.0 <= self.tau <= 5.0:
-            raise ValueError(f"tau must lie in [2, 5], got {self.tau}")
+    interval = (2, 5)
+    flags = (Flag("--tau", float, f"Horodecki parameter in {_span(interval)}"),)
 
     def state(self) -> DensityMatrix:
         # direct weighted assembly: the endpoint weight (5 - tau)/7 vanishes
@@ -388,16 +404,13 @@ class Horodecki(Family):
 
 
 @dataclass(frozen=True)
-class _Curve(_SymMember):
-    """A one-parameter pure family, t in [0, 1]."""
+class _Curve(_OneParameter, _SymMember):
+    """A one-parameter pure family of Sym states."""
 
     t: float
 
-    flags = (Flag("--t", float, "curve parameter in [0, 1]"),)
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
+    interval = (0, 1)
+    flags = (Flag("--t", float, f"curve parameter in {_span(interval)}"),)
 
 
 @dataclass(frozen=True)

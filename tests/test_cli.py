@@ -371,6 +371,23 @@ class TestValidate:
         assert code == 2
         assert data["state"]["valid"] is False
 
+    @pytest.mark.parametrize("key, entries, message", [
+        # what overflows: the trace, rho - rho^dagger, the norm
+        ("matrix", {0: 1e308, 10: 1e308}, "matrix is not a density matrix"),
+        ("matrix", {0: 1.0, 1: 1.5e308, 9: -1.5e308}, "matrix is not a density matrix"),
+        ("amplitudes", {0: 1e200}, "state is not normalized"),
+    ])
+    def test_overflowing_state_file_exit_2(self, capsys, tmp_path, key, entries, message):
+        values = [[entries.get(i, 0.0), 0.0] for i in range(81 if key == "matrix" else 9)]
+        path = write_json(tmp_path / "huge.json", {"dims": [3, 3], key: values})
+        code = main(["validate", "--state-file", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["state"]["valid"] is False
+        assert captured.err == ""
+        assert main(["gamma", "--state-file", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestWorkDoneOnce:
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_mixed, random_pure, random_qutrit_density, random_unit_triple
 from spinchsh import (Antisym, ChshAnalysis, CorrelationMatrix, Example1,
                       Example2, GHZ3, Horodecki, MeasurementSetting, Product,
-                      PureState, Sym, Werner, analytic_curves, analytic_gamma,
+                      PureState, Sym, Werner, analytic_concurrence, analytic_gamma,
                       chsh_analysis, chsh_expectation, concurrence_pure,
                       correlation_matrix_coeff, correlation_matrix_trace,
                       family_pure, family_state, mix, pure_to_density,
@@ -283,27 +283,28 @@ class TestAnalyticGamma:
 
 
 class TestAnalyticCurves:
+    """The closed-form gamma and concurrence along the curves Example1/2."""
 
     def test_example1_values(self):
-        assert analytic_curves(Example1(0.5)) == pytest.approx((1.0, 1.0), abs=1e-12)
-        assert analytic_curves(Example1(0.0)) == pytest.approx((1.0, 0.0), abs=1e-15)
-        gamma, conc = analytic_curves(Example1(0.25))
-        assert gamma == 1.0
-        assert conc == pytest.approx(0.6, abs=1e-12)
+        assert analytic_gamma(Example1(0.5)) == 1.0
+        assert analytic_concurrence(Example1(0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert analytic_gamma(Example1(0.0)) == 1.0
+        assert analytic_concurrence(Example1(0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert analytic_gamma(Example1(0.25)) == 1.0
+        assert analytic_concurrence(Example1(0.25)) == pytest.approx(0.6, abs=1e-12)
 
     def test_example2_values(self):
-        assert analytic_curves(Example2(0.0)) == pytest.approx((1.0, 0.0), abs=1e-15)
-        gamma, conc = analytic_curves(Example2(1.0))
-        assert gamma == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-15)
-        assert conc == pytest.approx(2 / math.sqrt(3), abs=1e-15)
+        assert analytic_gamma(Example2(0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert analytic_concurrence(Example2(0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert analytic_gamma(Example2(1.0)) == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-15)
+        assert analytic_concurrence(Example2(1.0)) == pytest.approx(2 / math.sqrt(3), abs=1e-15)
 
     @pytest.mark.parametrize("family", [Example1, Example2])
     def test_curves_match_pipeline(self, family):
         for t in np.linspace(0, 1, 21):
             spec = family(float(t))
-            gamma, conc = analytic_curves(spec)
-            assert abs(gamma - gamma_of(family_state(spec))) <= 1e-10
-            assert abs(conc - concurrence_pure(family_pure(spec))) <= 1e-10
+            assert abs(analytic_gamma(spec) - gamma_of(family_state(spec))) <= 1e-10
+            assert abs(analytic_concurrence(spec) - concurrence_pure(family_pure(spec))) <= 1e-10
 
     def test_example2_gamma_decreases(self):
         grid = [analytic_gamma(Example2(float(t))) for t in np.linspace(0, 1, 51)]
@@ -312,4 +313,4 @@ class TestAnalyticCurves:
 
     def test_rejects_other_specs(self):
         with pytest.raises(ValueError):
-            analytic_curves(Werner(0.0))
+            analytic_concurrence(Werner(0.0))

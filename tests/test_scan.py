@@ -18,7 +18,7 @@ import pytest
 from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh_analysis,
                       correlation_matrix_coeff, concurrence_pure, mix,
                       pure_to_density, run_scan, sample_pure_state,
-                      table_rows, write_histogram_csv, write_sample_rows_csv)
+                      table_rows)
 from spinchsh.correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
 from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
 from spinchsh import cli, scan, states
@@ -78,7 +78,8 @@ class TestRunScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize):
+                assert chunksize == 1  # one chunk per hand-out: no worker idles at the end
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(scan, "Pool", RecordingPool)
@@ -612,9 +613,9 @@ class TestSerialization:
         assert round_trip["max_gamma"] == data["max_gamma"]
 
     def test_histogram_csv(self, tmp_path):
-        report = run_scan(ScanConfig(n_samples=500, seed=22, histogram_bins=10))
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, report)
+        assert cli.main(["scan", "--n", "500", "--seed", "22", "--hist-bins", "10",
+                         "--hist-out", str(path)]) == 0
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["bin_lo", "bin_hi", "count"]
@@ -622,12 +623,13 @@ class TestSerialization:
         assert sum(int(r[2]) for r in rows[1:]) == 500
 
     def test_sample_rows_csv(self, tmp_path):
-        cfg = ScanConfig(n_samples=12, seed=23)
         path = tmp_path / "rows.csv"
-        write_sample_rows_csv(path, table_rows(cfg, k=12))
+        assert cli.main(["scan", "--n", "12", "--seed", "23", "--rows", "12",
+                         "--rows-out", str(path)]) == 0
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:2] == ["psi11_re", "psi11_im"]
         assert rows[0][-1] == "gamma"
         assert len(rows[0]) == 19
         assert len(rows) == 13
+        assert all(len(row) == 19 for row in rows)

@@ -1,6 +1,7 @@
 """State construction, named families, mixing, sampling, serialization."""
 
 import importlib.util
+import math
 import os
 import sys
 import warnings
@@ -14,7 +15,8 @@ from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
                       Horodecki, Product, PureState, ReducedState, StateInvariantError, Sym,
                       Werner, family_pure, family_state, mix, pure_to_density,
                       sample_pure_state, state_from_json, swap_operator)
-from spinchsh.states import keyed_generator, physicality_residuals, sample_amplitude_batch
+from spinchsh.states import (keyed_generator, norm_residuals, physicality_residuals,
+                             sample_amplitude_batch)
 from spinchsh.states import _from_pairs, _philox_raw, _ziggurat_fast_path
 from spinchsh import ziggurat
 
@@ -603,6 +605,38 @@ class TestPhysicalityResiduals:
         assert res["valid"] is False
         assert all(np.isnan(res[name])
                    for name in ("hermiticity_residual", "trace_deviation", "min_eigenvalue"))
+
+    @pytest.mark.parametrize("entries, residuals", [
+        # rho + rho^dagger overflows: no residuals
+        ({(0, 0): 1e308, (1, 1): 1e308}, (math.nan, math.nan, math.nan)),
+        ({(0, 1): 1e308, (1, 0): 1e308}, (math.nan, math.nan, math.nan)),
+        # rho - rho^dagger overflows; the trace does
+        ({(0, 1): 1.5e308, (1, 0): -1.5e308}, (math.inf, 0.0, 0.0)),
+        ({(0, 0): 6e307, (1, 1): 6e307, (2, 2): 6e307}, (0.0, math.inf, 0.0)),
+    ])
+    def test_overflowing_matrix_checked_without_warnings(self, entries, residuals):
+        m = np.zeros((9, 9), dtype=complex)
+        m[8, 8] = 1.0
+        for entry, value in entries.items():
+            m[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = physicality_residuals(m)
+            with pytest.raises(StateInvariantError):
+                DensityMatrix(m, (3, 3))
+        assert res["valid"] is False
+        got = (res["hermiticity_residual"], res["trace_deviation"], res["min_eigenvalue"])
+        np.testing.assert_equal(got, residuals)
+
+    def test_overflowing_amplitude_checked_without_warnings(self):
+        amplitudes = np.zeros(9, dtype=complex)
+        amplitudes[0] = 1e200  # its square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = norm_residuals(amplitudes)
+            with pytest.raises(StateInvariantError):
+                PureState(amplitudes, (3, 3))
+        assert res == {"norm_deviation": math.inf, "valid": False}
 
 
 class TestSerialization:
