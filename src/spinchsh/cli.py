@@ -103,6 +103,14 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _print_formatted(args, payload, header, row) -> None:
+    """``payload`` as JSON, or with ``--format csv`` the one-row CSV ``header``, ``row``."""
+    if args.format == "csv":
+        _write_csv(None, header, [_round_floats(row, args.decimals)])
+    else:
+        _print_json(payload, args.decimals)
+
+
 def _family_from_args(args):
     family = FAMILIES[args.family]
     values = [getattr(args, flag.name[2:].replace("-", "_")) for flag in family.flags]
@@ -148,15 +156,11 @@ def _cmd_gamma(args) -> int:
     ops = spin_operators(_spin_for(args, rho))
     analysis = chsh_analysis(correlation_matrix_trace(rho, ops))
     payload = analysis.to_json()
-    if args.format == "csv":
-        keys = ["singular_value_1", "singular_value_2", "singular_value_3",
-                "gamma", "upsilon", "violated"]
-        values = [*payload["singular_values"], payload["gamma"],
-                  payload["upsilon"], payload["violated"]]
-        print(",".join(keys))
-        print(",".join(str(_round_floats(v, args.decimals)) for v in values))
-    else:
-        _print_json(payload, args.decimals)
+    _print_formatted(args, payload,
+                     ["singular_value_1", "singular_value_2", "singular_value_3",
+                      "gamma", "upsilon", "violated"],
+                     [*payload["singular_values"], payload["gamma"],
+                      payload["upsilon"], payload["violated"]])
     return 3 if analysis.violated else 0
 
 
@@ -190,7 +194,8 @@ def _cmd_scan(args) -> int:
         with open(args.report_out, "w") as fh:
             json.dump(_round_floats(report.to_json(), args.decimals), fh, indent=2)
     if args.hist_out:
-        _write_csv(args.hist_out, ["bin_lo", "bin_hi", "count"], report.histogram)
+        _write_csv(args.hist_out, ["bin_lo", "bin_hi", "count"],
+                   _round_floats(report.histogram, args.decimals))
     if args.rows_out:
         _write_csv(args.rows_out, TABLE_COLUMNS, rows)
     print(f"max_gamma={_round_floats(report.max_gamma, args.decimals)} "
@@ -231,13 +236,8 @@ def _cmd_concurrence(args) -> int:
                          "amplitude --state-file")
     numeric = concurrence_pure(pure)
     analytic = analytic_concurrence(spec) if spec is not None else None
-    payload = {"concurrence": numeric, "analytic": analytic}
-    if args.format == "csv":
-        print("concurrence,analytic")
-        print(f"{_round_floats(numeric, args.decimals)},"
-              f"{_round_floats(analytic, args.decimals) if analytic is not None else ''}")
-    else:
-        _print_json(payload, args.decimals)
+    _print_formatted(args, {"concurrence": numeric, "analytic": analytic},
+                     ["concurrence", "analytic"], [numeric, analytic])
     return 0
 
 

@@ -229,6 +229,15 @@ class TestScan:
         assert len(values) == 2 * 19
         assert set(values) <= {"0.0", "1.0"}
 
+    def test_hist_out_follows_decimals(self, capsys, tmp_path):
+        hist = tmp_path / "hist.csv"
+        assert main(["--decimals", "3", "scan", "--n", "50", "--hist-bins", "7",
+                     "--hist-out", str(hist)]) == 0
+        with open(hist, newline="") as fh:
+            edges = [v for row in list(csv.reader(fh))[1:] for v in row[:2]]
+        assert edges[:3] == ["0.0", "0.165", "0.165"]
+        assert all(len(v.partition(".")[2]) <= 3 for v in edges)
+
     def test_negative_rows_exit_1_before_scanning(self, capsys, tmp_path):
         report = tmp_path / "report.json"
         code = main(["scan", "--n", "5", "--rows", "-1", "--rows-out", str(tmp_path / "rows.csv"),
@@ -275,7 +284,7 @@ class TestWrittenFiles:
 
     SHA256 = {
         "sweep.csv": "833552f7d5fcb061af4b369f8e8ffc2677e1c2f859f4a1dcc75a0605c59de9de",
-        "hist.csv": "8153176f4d0fa9fc79e409ccc70ff1a3a77568d990d337dc0d24a095267ecb2a",
+        "hist.csv": "b533762ef12d2a7aaef7e4be912e6abe65e2a4ec792d04c1fbcbcf46cc1c1da5",
         "rows.csv": "83348bffb5bdde8f003f7dadee659bb04ac0f4a384c6993ece26b57ea1850813",
     }
 
