@@ -10,7 +10,7 @@ so the report is identical at any worker count.
 
 import numpy as np
 
-from spinchsh import ScanConfig, run_scan, table_rows
+from spinchsh import ScanConfig, run_scan
 
 cfg = ScanConfig(n_samples=100_000, sampler="uniform", seed=42,
                  histogram_bins=24, workers=2)
@@ -31,9 +31,9 @@ for lo, hi, count in report.histogram:
 
 print()
 print("first five samples, printed to two decimals (amplitudes then gamma):")
-for row in table_rows(cfg, k=5, decimals=2):
-    amps = ", ".join(f"{row[2*i]:+.2f}{row[2*i+1]:+.2f}j" for i in range(9))
-    print(f"  {{{amps}}}  ->  {row[-1]:.2f}")
+for amplitudes, gamma in report.sample_rows[:5]:
+    amps = ", ".join(f"{a.real:+.2f}{a.imag:+.2f}j" for a in amplitudes)
+    print(f"  {{{amps}}}  ->  {gamma:.2f}")
 
 print()
 if report.violation_count == 0:

@@ -17,7 +17,7 @@ from .entanglement import (ReducedState, analytic_concurrence,
                            concurrence_pure, partial_trace)
 from .optimizer import (OptimizationResult, OptimizerConfig, bilinear_reduce,
                         optimize_settings, settings_from_svd)
-from .scan import ScanConfig, ScanReport, run_scan, table_rows
+from .scan import ScanConfig, ScanReport, run_scan
 from .spin import (SpinOperators, spin_operators, spin_projection,
                    validate_spin_algebra)
 from .states import (Antisym, DensityMatrix, Example1, Example2,
@@ -40,5 +40,5 @@ __all__ = [
     "OptimizerConfig", "OptimizationResult", "bilinear_reduce",
     "optimize_settings", "settings_from_svd",
     "ReducedState", "partial_trace", "concurrence_pure", "analytic_concurrence",
-    "ScanConfig", "ScanReport", "run_scan", "table_rows",
+    "ScanConfig", "ScanReport", "run_scan",
 ]

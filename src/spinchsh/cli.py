@@ -12,10 +12,15 @@ Subcommands expose the library analyses with JSON/CSV output:
 Exit codes: 0 success, 1 malformed input or flags, 2 invariant failure,
 3 CHSH violation detected by ``gamma``, 4 optimizer non-convergence.
 
+The library computes; this module is the one place that formats its output:
+JSON on stdout and in ``--report-out``, and every CSV through ``_write_csv``.
+``_round_floats`` applies ``--decimals`` to every number in them (default: 12
+significant digits; two decimals for the ``--rows-out`` table).
+
 The CLI reads its tables rather than repeating them: ``states.FAMILIES``
 (``--family`` and its flags), ``_SWEEPS`` (``sweep --example``; a family's
 interval gives the grid), ``states.SAMPLERS`` (``scan --sampler``) and
-``scan.TABLE_COLUMNS`` (``--rows-out``); ``_write_csv`` writes every CSV.
+``TABLE_COLUMNS`` (``--rows-out``, the report's leading sample rows).
 
 ``build_parser`` returns a new parser on every call, and ``main`` builds one
 per call.  It holds the top-level flags and a bare parser for each
@@ -37,10 +42,10 @@ from . import __version__
 from .correlations import analytic_gamma, chsh_analysis, correlation_matrix_trace
 from .entanglement import analytic_concurrence, concurrence_pure
 from .optimizer import OptimizerConfig, optimize_settings
-from .scan import TABLE_COLUMNS, ScanConfig, run_scan, table_rows
+from .scan import SAMPLE_ROW_COUNT, ScanConfig, run_scan
 from .spin import SPIN_ALGEBRA_TOL, spin_operators, validate_spin_algebra
 from .states import (FAMILIES, SAMPLERS, Example1, Example2, PureState,
-                     StateInvariantError, Werner, _read_state, family_pure,
+                     StateInvariantError, Werner, _read_state, _to_pairs, family_pure,
                      family_state, norm_residuals, physicality_residuals,
                      pure_to_density, state_from_json)
 
@@ -48,6 +53,9 @@ GAP_TOL = 1e-6
 
 # sweep --example: the one-parameter families whose curves sweep writes
 _SWEEPS = {"1": Example1, "2": Example2, "werner": Werner}
+# scan --rows-out columns: re and im of each amplitude psi_mk (1-based), then gamma
+TABLE_COLUMNS = tuple(f"psi{m}{k}_{part}" for m in range(1, 4) for k in range(1, 4)
+                      for part in ("re", "im")) + ("gamma",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,11 +192,11 @@ def _cmd_scan(args) -> int:
     sampler = {"paper": "uniform"}.get(args.sampler, args.sampler)
     cfg = ScanConfig(n_samples=args.n, sampler=sampler, seed=args.seed,
                      histogram_bins=args.hist_bins, workers=args.workers)
-    # before the scan, so that a bad --rows fails at once, even without
-    # --rows-out (table_rows raises on a negative count before sampling)
-    if args.rows_out or args.rows < 0:
-        rows = table_rows(cfg, min(args.rows, cfg.n_samples),
-                          decimals=2 if args.decimals is None else args.decimals)
+    # the table is the report's leading sample rows, so --rows cannot ask
+    # for more than the scan keeps
+    if not 0 <= args.rows <= SAMPLE_ROW_COUNT:
+        bound = ">= 0" if args.rows < 0 else f"<= {SAMPLE_ROW_COUNT}"
+        raise ValueError(f"number of rows k = {args.rows} must be {bound}")
     report = run_scan(cfg)
     if args.report_out:
         with open(args.report_out, "w") as fh:
@@ -197,7 +205,10 @@ def _cmd_scan(args) -> int:
         _write_csv(args.hist_out, ["bin_lo", "bin_hi", "count"],
                    _round_floats(report.histogram, args.decimals))
     if args.rows_out:
-        _write_csv(args.rows_out, TABLE_COLUMNS, rows)
+        rows = [[x for pair in _to_pairs(amps) for x in pair] + [gamma]
+                for amps, gamma in report.sample_rows[:args.rows]]
+        _write_csv(args.rows_out, TABLE_COLUMNS,
+                   _round_floats(rows, 2 if args.decimals is None else args.decimals))
     print(f"max_gamma={_round_floats(report.max_gamma, args.decimals)} "
           f"violation_count={report.violation_count}")
     return 0
@@ -230,10 +241,12 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_concurrence(args) -> int:
-    _, spec, pure = _state_from_args(args)
+    rho, spec, pure = _state_from_args(args)
     if pure is None:
         raise ValueError("concurrence needs a pure state: a pure --family or an "
                          "amplitude --state-file")
+    if args.spin is not None:  # concurrence needs no spin, but a given one must fit
+        _spin_for(args, rho)
     numeric = concurrence_pure(pure)
     analytic = analytic_concurrence(spec) if spec is not None else None
     _print_formatted(args, {"concurrence": numeric, "analytic": analytic},

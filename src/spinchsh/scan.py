@@ -9,8 +9,8 @@ Reports are therefore byte-identical across worker counts.
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
 records such states in full rather than treating them as errors.
 
-The scan writes no files; the command line writes its report and the
-``table_rows`` rows, whose columns ``TABLE_COLUMNS`` names.
+The scan only computes: it rounds no number and writes no file.  The
+command line formats the report, its histogram and its leading sample rows.
 """
 
 from __future__ import annotations
@@ -308,28 +308,3 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         low_concurrence_count=low_conc,
         violations=[(i, g, PureState(row, (3, 3))) for i, g, row in violations],
     )
-
-
-# Columns of table_rows: re and im of each amplitude psi_mk (1-based), then gamma.
-TABLE_COLUMNS = tuple(f"psi{m}{k}_{part}" for m in range(1, 4) for k in range(1, 4)
-                      for part in ("re", "im")) + ("gamma",)
-
-
-def table_rows(cfg: ScanConfig, k: int, decimals: int = 2) -> list:
-    """First k sampled states as flat rows of rounded floats.
-
-    Each row holds the 18 amplitude components (re, im interleaved in
-    row-major state order) followed by gamma, all rounded to ``decimals``;
-    TABLE_COLUMNS names them.
-    """
-    if k < 0:
-        raise ValueError(f"number of rows k = {k} must be >= 0")
-    if k > cfg.n_samples:
-        raise ValueError(f"k = {k} exceeds n_samples = {cfg.n_samples}")
-    amps = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, 0, k)
-    gamma, _ = batch_gamma_concurrence(amps)
-    rows = []
-    for i in range(k):
-        row = [round(x, decimals) for pair in _to_pairs(amps[i]) for x in pair]
-        rows.append(row + [round(float(gamma[i]), decimals)])
-    return rows

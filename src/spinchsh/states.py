@@ -174,9 +174,10 @@ def _from_pairs(pairs, shape: tuple) -> np.ndarray:
 
 
 def _read_state(data) -> tuple:
-    """(dims, entries) of a state dict: an amplitude vector or a square matrix, unchecked."""
-    if not (isinstance(data, dict) and ("amplitudes" in data or "matrix" in data)):
-        raise ValueError("state JSON must contain either 'amplitudes' or 'matrix'")
+    """(dims, entries) of a state dict holding exactly one of an amplitude
+    vector and a square matrix, unchecked."""
+    if not (isinstance(data, dict) and ("amplitudes" in data) != ("matrix" in data)):
+        raise ValueError("state JSON must contain exactly one of 'amplitudes' or 'matrix'")
     dims = _check_dims(data.get("dims"))
     n = dims[0] * dims[1]
     if "amplitudes" in data:

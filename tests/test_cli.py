@@ -97,6 +97,8 @@ class TestGamma:
             "not_numbers": {"dims": [3, 3], "amplitudes": [[{}, 0.0]] + zero},
             "null_entry": {"dims": [3, 3], "amplitudes": [[1.0, None]] + zero},
             "not_an_object": [[1.0, 0.0]] + zero,
+            "amplitudes_and_matrix": {"dims": [3, 3], "amplitudes": [[1.0, 0.0]] + zero,
+                                      "matrix": "garbage"},
         }
         for name, payload in malformed.items():
             bad = write_json(tmp_path / f"{name}.json", payload)
@@ -255,6 +257,22 @@ class TestScan:
         assert captured.out == ""
         assert not report.exists()
 
+    def test_rows_above_kept_rows_exit_1_before_scanning(self, capsys, tmp_path):
+        report, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+        code = main(["scan", "--n", "100", "--rows", "51", "--rows-out", str(rows),
+                     "--report-out", str(report)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: number of rows k = 51 must be <= 50\n"
+        assert captured.out == ""
+        assert not report.exists() and not rows.exists()
+
+    def test_rows_clamped_to_n(self, capsys, tmp_path):
+        rows = tmp_path / "rows.csv"
+        assert main(["scan", "--n", "5", "--rows", "40", "--rows-out", str(rows)]) == 0
+        with open(rows, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 5
+
     def test_workers_flag_matches_serial(self, capsys):
         _, out1 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "1")
         _, out2 = run_cli(capsys, "scan", "--n", "2000", "--seed", "3", "--workers", "2")
@@ -353,6 +371,21 @@ class TestConcurrence:
         from spinchsh import concurrence_pure
         assert data["concurrence"] == pytest.approx(concurrence_pure(psi), abs=1e-11)
 
+    def test_spin_mismatch_exit_1(self, capsys, tmp_path):
+        assert main(["concurrence", "--family", "ghz3", "--spin", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --spin 7.0 does not match state dimension 3 (s = 1.0)\n"
+        assert main(["concurrence", "--family", "ghz3", "--spin", "1"]) == 0
+        capsys.readouterr()
+        # unequal local dimensions: no spin to check unless one is given
+        qubit_qutrit = PureState(np.array([1, 0, 0, 0, 1, 0]) / math.sqrt(2), (2, 3))
+        path = write_json(tmp_path / "23.json", qubit_qutrit.to_json())
+        code, out = run_cli(capsys, "concurrence", "--state-file", path)
+        assert code == 0
+        assert json.loads(out)["concurrence"] == pytest.approx(1.0, abs=1e-12)
+        assert main(["concurrence", "--state-file", path, "--spin", "1"]) == 1
+        assert capsys.readouterr().err.count("error: ") == 1
+
     def test_mixed_family_rejected(self, capsys):
         assert main(["concurrence", "--family", "werner", "--phi", "0.5"]) == 1
 
@@ -426,6 +459,21 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(cli, "build_parser", counted)
         run_cli(capsys, "gamma", "--family", "ghz3")
         assert len(calls) == 1
+
+    def test_scan_samples_drawn_once(self, capsys, monkeypatch, tmp_path):
+        from spinchsh import scan
+        counts = []
+        sample = scan.sample_amplitude_batch
+
+        def counted(dims, sampler, seed, start, count):
+            counts.append(count)
+            return sample(dims, sampler, seed, start, count)
+
+        monkeypatch.setattr(scan, "sample_amplitude_batch", counted)
+        code, _ = run_cli(capsys, "scan", "--n", "300", "--rows", "20",
+                          "--rows-out", str(tmp_path / "rows.csv"))
+        assert code == 0
+        assert counts == [300]
 
 
 # every state-source flag, unset

@@ -17,8 +17,7 @@ import pytest
 
 from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh_analysis,
                       correlation_matrix_coeff, concurrence_pure, mix,
-                      pure_to_density, run_scan, sample_pure_state,
-                      table_rows)
+                      pure_to_density, run_scan, sample_pure_state)
 from spinchsh.correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
 from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
 from spinchsh import cli, scan, states
@@ -566,10 +565,20 @@ class TestMixtureSpotCheck:
 
 
 class TestTableRows:
+    """The two-decimal table ``scan --rows-out`` writes: the report's leading
+    sample rows, rounded by the command line."""
 
-    def test_layout_and_rounding(self):
-        cfg = ScanConfig(n_samples=10, seed=12)
-        rows = table_rows(cfg, k=5, decimals=2)
+    @staticmethod
+    def table(tmp_path, *argv):
+        path = tmp_path / "rows.csv"
+        assert cli.main(["scan", *argv, "--rows-out", str(path)]) == 0
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == cli.TABLE_COLUMNS
+        return [[float(x) for x in row] for row in rows]
+
+    def test_layout_and_rounding(self, capsys, tmp_path):
+        rows = self.table(tmp_path, "--n", "10", "--seed", "12", "--rows", "5")
         assert len(rows) == 5
         assert all(len(r) == 19 for r in rows)
         amps = sample_amplitude_batch((3, 3), "uniform", 12, 0, 5)
@@ -579,24 +588,26 @@ class TestTableRows:
             assert row[0] == round(float(amps[i, 0].real), 2)
             assert row[1] == round(float(amps[i, 0].imag), 2)
 
-    def test_rounded_rows_reproduce_gamma_within_tolerance(self):
+    def test_rows_are_the_reports_sample_rows(self, capsys, tmp_path):
+        for decimals in (None, 0, 4):
+            flag = [] if decimals is None else ["--decimals", str(decimals)]
+            rows = self.table(tmp_path, *flag, "--n", "300", "--seed", "4", "--sampler", "haar",
+                              "--rows", "20")
+            report = run_scan(ScanConfig(n_samples=300, seed=4, sampler="haar"))
+            places = 2 if decimals is None else decimals
+            expected = [[round(x, places) for z in amps for x in (z.real, z.imag)]
+                        + [round(g, places)] for amps, g in report.sample_rows[:20]]
+            assert rows == expected
+
+    def test_rounded_rows_reproduce_gamma_within_tolerance(self, capsys, tmp_path):
         """Renormalizing the two-decimal amplitudes moves gamma by < 0.02."""
-        cfg = ScanConfig(n_samples=40, seed=13)
-        rows = table_rows(cfg, k=40, decimals=2)
-        from spinchsh import PureState
+        rows = self.table(tmp_path, "--n", "40", "--seed", "13", "--rows", "40")
+        assert len(rows) == 40
         for row in rows:
             amps = np.array(row[:-1:2]) + 1j * np.array(row[1::2][:9])
             amps = amps / np.linalg.norm(amps)
             regenerated = pipeline_gamma(PureState(amps, (3, 3)))
             assert abs(regenerated - row[-1]) <= 0.02
-
-    def test_k_cannot_exceed_n(self):
-        with pytest.raises(ValueError):
-            table_rows(ScanConfig(n_samples=5, seed=0), k=6)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            table_rows(ScanConfig(n_samples=5, seed=0), k=-1)
 
 
 class TestSerialization:
