@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed
-from spinchsh import PureState, Sym, cli, pure_to_density
+from spinchsh import PureState, Sym, cli, pure_to_density, scan
 from spinchsh.cli import main
 
 
@@ -461,7 +461,6 @@ class TestWorkDoneOnce:
         assert len(calls) == 1
 
     def test_scan_samples_drawn_once(self, capsys, monkeypatch, tmp_path):
-        from spinchsh import scan
         counts = []
         sample = scan.sample_amplitude_batch
 
