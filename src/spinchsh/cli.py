@@ -22,16 +22,18 @@ The CLI reads its tables rather than repeating them: ``states.FAMILIES``
 interval gives the grid), ``states.SAMPLERS`` (``scan --sampler``) and
 ``TABLE_COLUMNS`` (``--rows-out``, the report's leading sample rows).
 
-``build_parser`` returns a new parser on every call, and ``main`` builds one
-per call.  It holds the top-level flags and a bare parser for each
-subcommand; a subcommand adds its own arguments, ``-h`` included, only when
-a call names it, so one call builds one subcommand's arguments, not six.
+The parser is built once per process, at first use rather than at import,
+with every subcommand's arguments.  ``build_parser`` gives each call a shallow
+copy: argparse's ``parse_args`` does not change a parser, so copies share its
+arguments, while an attribute set on one copy stays on that copy.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -59,26 +61,7 @@ TABLE_COLUMNS = tuple(f"psi{m}{k}_{part}" for m in range(1, 4) for k in range(1,
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that exits 1 on malformed flags and may add its
-    arguments late.
-
-    ``arguments``, a function of the parser, runs once, just before the
-    parser's first ``parse_known_args``, and adds ``-h`` first.  argparse
-    hands a subcommand's arguments to its parser through that method, so only
-    the subcommand a call names ever builds its arguments.
-    """
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, add_help=arguments is None, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            add, self._arguments = self._arguments, None
-            self.add_argument("-h", "--help", action="help",
-                              help="show this help message and exit")
-            add(self)
-        return super().parse_known_args(args, namespace)
+    """An argument parser that exits 1 on malformed flags."""
 
     # malformed flags are malformed input: exit 1, not argparse's default 2
     def error(self, message):
@@ -149,10 +132,10 @@ def _state_from_args(args):
     raise ValueError("a state source is required: --family or --state-file")
 
 
-def _spin_for(args, rho):
-    da, db = rho.dims
+def _spin_for(args, dims):
+    da, db = dims
     if da != db:
-        raise ValueError(f"spin measurements need equal local dimensions, got {rho.dims}")
+        raise ValueError(f"spin measurements need equal local dimensions, got {dims}")
     inferred = (da - 1) / 2
     if args.spin is not None and args.spin != inferred:
         raise ValueError(f"--spin {args.spin} does not match state dimension {da} (s = {inferred})")
@@ -161,7 +144,7 @@ def _spin_for(args, rho):
 
 def _cmd_gamma(args) -> int:
     rho, _, _ = _state_from_args(args)
-    ops = spin_operators(_spin_for(args, rho))
+    ops = spin_operators(_spin_for(args, rho.dims))
     analysis = chsh_analysis(correlation_matrix_trace(rho, ops))
     payload = analysis.to_json()
     _print_formatted(args, payload,
@@ -216,7 +199,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_optimize(args) -> int:
     rho, _, _ = _state_from_args(args)
-    ops = spin_operators(_spin_for(args, rho))
+    ops = spin_operators(_spin_for(args, rho.dims))
     Z = correlation_matrix_trace(rho, ops)
     analysis = chsh_analysis(Z)
     cfg = OptimizerConfig(max_iterations=args.max_iter, convergence_tol=args.tol,
@@ -246,7 +229,7 @@ def _cmd_concurrence(args) -> int:
         raise ValueError("concurrence needs a pure state: a pure --family or an "
                          "amplitude --state-file")
     if args.spin is not None:  # concurrence needs no spin, but a given one must fit
-        _spin_for(args, rho)
+        _spin_for(args, rho.dims)
     numeric = concurrence_pure(pure)
     analytic = analytic_concurrence(spec) if spec is not None else None
     _print_formatted(args, {"concurrence": numeric, "analytic": analytic},
@@ -258,12 +241,12 @@ def _cmd_validate(args) -> int:
     if args.family is None and args.state_file is not None:
         # read as state_from_json reads it, but an unphysical state is reported, not refused
         with open(args.state_file) as fh:
-            _, entries = _read_state(json.load(fh))
+            dims, entries = _read_state(json.load(fh))
         checks = norm_residuals(entries) if entries.ndim == 1 else physicality_residuals(entries)
     else:
-        checks = physicality_residuals(_state_from_args(args)[0].matrix)
-    s = args.spin if args.spin is not None else 1.0
-    algebra = validate_spin_algebra(spin_operators(s))
+        rho = _state_from_args(args)[0]
+        dims, checks = rho.dims, physicality_residuals(rho.matrix)
+    algebra = validate_spin_algebra(spin_operators(_spin_for(args, dims)))
     algebra_ok = max(algebra.values()) <= SPIN_ALGEBRA_TOL
     payload = {"state": checks, "spin_algebra": algebra,
                "spin_algebra_valid": algebra_ok}
@@ -276,10 +259,20 @@ _FAMILY_FLAGS = tuple({flag.name: flag for family in FAMILIES.values()
                        for flag in family.flags}.values())
 
 
+def _decimal_places(text) -> int:
+    try:
+        places = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if places < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {places}")
+    return places
+
+
 def _add_decimals(p):
     # accepted both before and after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level
-    p.add_argument("--decimals", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--decimals", type=_decimal_places, default=argparse.SUPPRESS,
                    help="round printed floats to this many decimal places "
                         "(default: 12 significant digits)")
 
@@ -349,20 +342,26 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser; each subcommand adds its arguments when it first parses."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinchsh",
                      description="CHSH maxima under local spin measurements on two-qudit states")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--decimals", type=int, default=None, help=argparse.SUPPRESS)
-    # the subcommands' prog prefix, given so that argparse does not format
-    # the top-level usage to find it on every build; with no positional
-    # before the subcommand the two agree
-    subs = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
-                                 parser_class=_Parser)
+    parser.add_argument("--decimals", type=_decimal_places, default=None, help=argparse.SUPPRESS)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (summary, func, arguments) in _COMMANDS.items():
-        subs.add_parser(name, help=summary, arguments=arguments).set_defaults(func=func)
+        sub = subs.add_parser(name, help=summary)
+        arguments(sub)
+        sub.set_defaults(func=func)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new shallow copy of the parser built at first use.
+
+    Set attributes on it freely, but add no arguments, subcommands or
+    defaults: every copy shares those."""
+    return copy.copy(_parser())
 
 
 def main(argv=None) -> int:

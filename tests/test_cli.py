@@ -1,5 +1,6 @@
 """Command line interface: values, formats, and exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -413,6 +414,22 @@ class TestValidate:
         assert code == 2
         assert data["state"]["valid"] is False
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_spin_follows_the_state(self, capsys, monkeypatch, tmp_path, d):
+        spins = []
+        operators = cli.spin_operators
+
+        def recorded(s):
+            spins.append(s)
+            return operators(s)
+
+        monkeypatch.setattr(cli, "spin_operators", recorded)
+        amplitudes = [[1.0, 0.0]] + [[0.0, 0.0]] * (d * d - 1)
+        path = write_json(tmp_path / "pure.json", {"dims": [d, d], "amplitudes": amplitudes})
+        code, _ = run_cli(capsys, "validate", "--state-file", path)
+        assert code == 0
+        assert spins == [(d - 1) / 2]
+
     @pytest.mark.parametrize("key, entries, message", [
         # what overflows: the trace, rho - rho^dagger, the norm
         ("matrix", {0: 1e308, 10: 1e308}, "matrix is not a density matrix"),
@@ -482,8 +499,8 @@ NO_SOURCE = dict.fromkeys(["family", "state_file", "spin", "alpha12", "alpha13",
 
 
 class TestParser:
-    """The parser adds a subcommand's arguments only when a call names it,
-    and parses every subcommand as the eagerly built parser did."""
+    """One parser per process, copied for each call, that parses every
+    subcommand as the parser built afresh for each call did."""
 
     # vars(parse_args(argv)), func by name, as written by the eager parser
     PARSED = [
@@ -508,30 +525,47 @@ class TestParser:
           "phi": 0.5, "spin": 1.0, "func": "_cmd_validate"}),
     ]
 
+    @staticmethod
+    def parsed(argv):
+        namespace = vars(cli.build_parser().parse_args(argv))
+        namespace["func"] = namespace["func"].__name__
+        return namespace
+
     @pytest.mark.parametrize("argv, expected", PARSED, ids=[argv[0] for argv, _ in PARSED])
     def test_parsed_namespace(self, argv, expected):
-        parsed = vars(cli.build_parser().parse_args(argv))
-        parsed["func"] = parsed["func"].__name__
-        assert parsed == expected
+        assert self.parsed(argv) == expected
 
     def test_fresh_parser_per_call(self):
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_main_fills_only_the_named_subcommand(self, capsys, monkeypatch):
-        parsers = []
-        build = cli.build_parser
+    def test_second_main_builds_no_parser(self, capsys, monkeypatch):
+        run_cli(capsys, "gamma", "--family", "ghz3")
+        built = []
+        init = argparse.ArgumentParser.__init__
 
-        def kept():
-            parsers.append(build())
-            return parsers[-1]
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_parser", kept)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         code, _ = run_cli(capsys, "sweep", "--example", "werner", "--points", "3")
         assert code == 0
-        subcommands = next(a for a in parsers[0]._actions if a.dest == "command").choices
-        assert sorted(subcommands) == ["concurrence", "gamma", "optimize", "scan", "sweep",
-                                       "validate"]
-        assert {name for name, sub in subcommands.items() if sub._actions} == {"sweep"}
+        assert built == []
+
+    def test_attribute_stays_on_its_copy(self):
+        # as the benchmark's tracer wraps each call's parse_args
+        first = cli.build_parser()
+        first.parse_args = None
+        second = cli.build_parser()
+        assert "parse_args" not in vars(second)
+        assert second.parse_args(["gamma", "--family", "ghz3"]).family == "ghz3"
+
+    def test_error_and_help_leave_the_parser_as_built(self, capsys):
+        for argv in (["gamma", "--bogus"], ["gamma", "-h"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert [self.parsed(argv) for argv, _ in self.PARSED] == [e for _, e in self.PARSED]
 
 
 def test_version_flag(capsys):

@@ -3,8 +3,9 @@
 Every case runs ``spinchsh.cli.main`` in process and compares the bytes it
 prints with ``tests/data/cli_golden.json``.  The cases cover ``gamma``,
 ``concurrence``, ``validate`` and ``optimize`` for every family, ``sweep``,
-``validate`` on malformed state files, flag errors, an unknown subcommand,
-``--decimals`` before and after the subcommand, and ``--help`` for each
+``validate`` on malformed state files and with a ``--spin`` that does or does
+not fit the state, flag errors, an unknown subcommand, ``--decimals`` (a
+negative one too) before and after the subcommand, and ``--help`` for each
 subcommand.
 
 Regenerate the golden file (only when a change of output is intended) with
@@ -55,6 +56,7 @@ STATE_FILES = {
     "unnormalized": _matrix_file({0: 0.5, 10: 0.5, 20: 0.5, 30: 0.5}),
     "non_hermitian": _matrix_file({0: 0.5, 80: 0.5, 1: 0.25, 9: -0.25}),
     "non_psd": _matrix_file({0: 1.2, 10: -0.2}),
+    "qubits": {"dims": [2, 2], "amplitudes": _pairs([1, 0, 0, 0])},
 }
 
 
@@ -72,6 +74,13 @@ def _cases():
     ]
     cases += [["validate", "--state-file", "{" + key + "}"]
               for key in ("unnormalized_pure", "unnormalized", "non_hermitian", "non_psd")]
+    cases += [
+        ["validate", "--family", "ghz3", "--spin", "7"],
+        ["validate", "--state-file", "{qubits}"],
+        ["validate", "--state-file", "{qubits}", "--spin", "1"],
+        ["--decimals", "-2", "gamma", "--family", "ghz3"],
+        ["gamma", "--family", "ghz3", "--decimals", "-1"],
+    ]
     cases += [
         ["gamma", "--family", "werner"],
         ["optimize", "--family", "antisym", "--alpha12", "1"],
