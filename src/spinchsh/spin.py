@@ -76,9 +76,7 @@ def spin_operators(s: float) -> SpinOperators:
     s = _check_spin_value(s)
     d = int(round(2 * s + 1))
     m = s - np.arange(d)  # magnetic quantum numbers, descending
-    raising = np.zeros((d, d))
-    for i in range(d - 1):
-        raising[i, i + 1] = np.sqrt(s * (s + 1) - m[i + 1] * (m[i + 1] + 1))
+    raising = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1)
     lowering = raising.T
     components = np.stack([
         ((raising + lowering) / 2).astype(complex),
@@ -108,23 +106,22 @@ def validate_spin_algebra(ops: SpinOperators) -> dict:
       trace_orthogonality  max |tr[S_j S_k] - c delta_jk|, c = s(s+1)d/3
       casimir              max |S1^2 + S2^2 + S3^2 - s(s+1) I|
 
-    All residuals are <= SPIN_ALGEBRA_TOL for the exact ladder construction.
+    One stacked product of every pair S_j S_k serves the last three.  All
+    residuals are <= SPIN_ALGEBRA_TOL for the exact ladder construction.
     """
     S = ops.components
     s, d = ops.s, ops.d
-    herm = max(np.abs(S[j] - S[j].conj().T).max() for j in range(3))
-    comm = 0.0
-    for j in range(3):
-        for k in range(3):
-            lhs = S[j] @ S[k] - S[k] @ S[j]
-            rhs = 1j * sum(_LEVI_CIVITA[j, k, l] * S[l] for l in range(3))
-            comm = max(comm, np.abs(lhs - rhs).max())
+    herm = np.abs(S - S.conj().transpose(0, 2, 1)).max()
+    prod = S[:, None] @ S[None, :]  # prod[j, k] = S_j S_k
+    rhs = 1j * np.tensordot(_LEVI_CIVITA, S, axes=1)  # i sum_l eps_jkl S_l
+    comm = np.abs(prod - prod.transpose(1, 0, 2, 3) - rhs).max()
     c = s * (s + 1) * d / 3
-    trace = max(
-        abs(np.trace(S[j] @ S[k]) - (c if j == k else 0.0))
-        for j in range(3) for k in range(3)
-    )
-    casimir = np.abs(sum(Sj @ Sj for Sj in S) - s * (s + 1) * np.eye(d)).max()
+    tr = np.trace(prod, axis1=2, axis2=3) - c * np.eye(3)
+    # hypot rounds |z| as the scalar abs(complex) of one trace does, so each
+    # residual equals the per-pair one; numpy's vectorized complex abs can
+    # differ from both in the last bit
+    trace = np.hypot(tr.real, tr.imag).max()
+    casimir = np.abs(prod[0, 0] + prod[1, 1] + prod[2, 2] - s * (s + 1) * np.eye(d)).max()
     return {
         "hermiticity": float(herm),
         "commutation": float(comm),

@@ -393,10 +393,9 @@ class Horodecki(_OneParameter):
         # direct weighted assembly: the endpoint weight (5 - tau)/7 vanishes
         # at tau = 5, which mix() would reject
         ghz = family_state(GHZ3())
-        cyc_up = sum(np.outer(_basis_ket(i, j), _basis_ket(i, j).conj())
-                     for i, j in ((0, 1), (1, 2), (2, 0))) / 3
-        cyc_down = sum(np.outer(_basis_ket(j, i), _basis_ket(j, i).conj())
-                       for i, j in ((0, 1), (1, 2), (2, 0))) / 3
+        # projectors onto |12>, |23>, |31> and onto |21>, |32>, |13>
+        cyc_up = np.diag([0.0, 1, 0, 0, 0, 1, 1, 0, 0]) / 3
+        cyc_down = np.diag([0.0, 0, 1, 1, 0, 0, 0, 1, 0]) / 3
         rho = 2 / 7 * ghz.matrix + self.tau / 7 * cyc_up + (5 - self.tau) / 7 * cyc_down
         return DensityMatrix(rho, (3, 3))
 
@@ -497,25 +496,15 @@ class Product(Family):
     def gamma(self) -> float:
         # rank-one correlation matrix: gamma is the product of the two
         # single-party spin-moment norms
-        S = spin_operators(1.0).components
-        ma = np.array([np.sum(self.rho_a * S[i].T).real for i in range(3)])
-        mb = np.array([np.sum(self.rho_b * S[i].T).real for i in range(3)])
+        S_T = spin_operators(1.0).components.transpose(0, 2, 1)
+        ma = np.sum(self.rho_a * S_T, axis=(1, 2)).real
+        mb = np.sum(self.rho_b * S_T, axis=(1, 2)).real
         return float(np.linalg.norm(ma) * np.linalg.norm(mb))
 
 
 def swap_operator(d: int) -> np.ndarray:
     """Permutation operator exchanging the two tensor factors of C^d x C^d."""
-    V = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            V[i * d + j, j * d + i] = 1.0
-    return V
-
-
-def _basis_ket(m: int, k: int) -> np.ndarray:
-    psi = np.zeros(9, dtype=complex)
-    psi[m * 3 + k] = 1.0
-    return psi
+    return np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 # The family table: every named family by command-line name, in the order

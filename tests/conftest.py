@@ -17,10 +17,11 @@ def random_pure(rng, dims=(3, 3)) -> PureState:
     return PureState(v / np.linalg.norm(v), dims)
 
 
-def random_mixed(rng, dims=(3, 3)) -> DensityMatrix:
-    """Full-rank Ginibre-ensemble density matrix."""
+def random_mixed(rng, dims=(3, 3), rank=None) -> DensityMatrix:
+    """Ginibre-ensemble density matrix of the given rank (default: full rank)."""
     n = dims[0] * dims[1]
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    shape = (n, rank or n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho = g @ g.conj().T
     return DensityMatrix(rho / rho.trace().real, dims)
 

@@ -22,7 +22,48 @@ def gamma_of(rho):
     return chsh_analysis(correlation_matrix_coeff(rho)).gamma
 
 
+def trace_by_pairs(rho, ops):
+    """The nine traces one np.kron at a time: the reference for the stacked
+    product of correlation_matrix_trace."""
+    S = ops.components
+    entries = np.empty((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            entries[i, j] = np.sum(rho.matrix * np.kron(S[i], S[j]).T)
+    return entries
+
+
+def product_gamma_by_moments(spec):
+    """Product.gamma from the spin moments one component at a time."""
+    S = spin_operators(1.0).components
+    ma = np.array([np.sum(spec.rho_a * S[i].T).real for i in range(3)])
+    mb = np.array([np.sum(spec.rho_b * S[i].T).real for i in range(3)])
+    return float(np.linalg.norm(ma) * np.linalg.norm(mb))
+
+
+# one member of every family; sym and werner are the golden optimize cases
+# whose degenerate optimum prints settings that follow the last bit of Z
+FAMILY_MEMBERS = (Antisym(0.48, 0.6j, 0.64), Sym(0.36 + 0.48j, 0.8, 0), GHZ3(),
+                  Werner(-0.5), Horodecki(3.5), Example1(0.25), Example2(0.7),
+                  Product(np.eye(3) / 3, np.eye(3) / 3),
+                  Product(np.diag([1.0, 0, 0]), np.diag([0.25, 0.25, 0.5])))
+
+
 class TestTraceRoute:
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
+    def test_stacked_traces_match_kron_bits(self, s, rng):
+        ops = spin_operators(s)
+        dims = (ops.d, ops.d)
+        states = [random_mixed(rng, dims, rank) for rank in range(1, ops.d ** 2 + 1)
+                  for _ in range(2)]
+        if s == 1.0:
+            states += [family_state(spec) for spec in FAMILY_MEMBERS]
+        for rho in states:
+            z = correlation_matrix_trace(rho, ops)
+            reference = trace_by_pairs(rho, ops)
+            assert z.matrix.tobytes() == reference.real.tobytes()
+            assert np.float64(z.imag_residual).tobytes() == np.abs(reference.imag).max().tobytes()
 
     @pytest.mark.parametrize("tau", [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])
     def test_horodecki_matrix_constant_in_tau(self, tau):
@@ -280,6 +321,13 @@ class TestAnalyticGamma:
             spec = Product(random_qutrit_density(rng), random_qutrit_density(rng))
             numeric = gamma_of(family_state(spec))
             assert abs(analytic_gamma(spec) - numeric) <= 1e-10
+
+    def test_product_moments_match_loop_bits(self, rng):
+        specs = [Product(random_qutrit_density(rng), random_qutrit_density(rng))
+                 for _ in range(500)]
+        for spec in specs + [m for m in FAMILY_MEMBERS if isinstance(m, Product)]:
+            reference = product_gamma_by_moments(spec)
+            assert np.float64(spec.gamma()).tobytes() == np.float64(reference).tobytes()
 
 
 class TestAnalyticCurves:

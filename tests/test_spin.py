@@ -5,9 +5,47 @@ import pytest
 
 from spinchsh import (MeasurementSetting, SpinOperators, spin_operators, spin_projection,
                       validate_spin_algebra)
-from spinchsh.spin import INPUT_TOL, check_unit_vector
+from spinchsh.spin import _LEVI_CIVITA, INPUT_TOL, check_unit_vector
 
 SQ2 = np.sqrt(2)
+
+
+def components_by_index(s):
+    """spin_operators' components with the raising operator filled one entry
+    at a time: the reference for its superdiagonal form."""
+    d = int(round(2 * s + 1))
+    m = s - np.arange(d)
+    raising = np.zeros((d, d))
+    for i in range(d - 1):
+        raising[i, i + 1] = np.sqrt(s * (s + 1) - m[i + 1] * (m[i + 1] + 1))
+    lowering = raising.T
+    return np.stack([((raising + lowering) / 2).astype(complex),
+                     ((raising - lowering) / 2j).astype(complex),
+                     np.diag(m).astype(complex)])
+
+
+def residuals_by_components(ops):
+    """validate_spin_algebra's residuals one component pair at a time: the
+    reference for its stacked product."""
+    S = ops.components
+    s, d = ops.s, ops.d
+    herm = max(np.abs(S[j] - S[j].conj().T).max() for j in range(3))
+    comm = 0.0
+    for j in range(3):
+        for k in range(3):
+            lhs = S[j] @ S[k] - S[k] @ S[j]
+            rhs = 1j * sum(_LEVI_CIVITA[j, k, l] * S[l] for l in range(3))
+            comm = max(comm, np.abs(lhs - rhs).max())
+    c = s * (s + 1) * d / 3
+    trace = max(abs(np.trace(S[j] @ S[k]) - (c if j == k else 0.0))
+                for j in range(3) for k in range(3))
+    casimir = np.abs(sum(Sj @ Sj for Sj in S) - s * (s + 1) * np.eye(d)).max()
+    return {"hermiticity": float(herm), "commutation": float(comm),
+            "trace_orthogonality": float(trace), "casimir": float(casimir)}
+
+
+def residual_bytes(report):
+    return np.array([report[key] for key in sorted(report)]).tobytes()
 
 
 class TestConstruction:
@@ -39,6 +77,10 @@ class TestConstruction:
                 expected = 2.0 if j == k else 0.0
                 assert np.trace(ops.components[j] @ ops.components[k]) == pytest.approx(expected, abs=1e-14)
 
+    def test_ladder_matches_loop_bits(self):
+        for s in np.arange(1, 61) / 2:
+            assert spin_operators(s).components.tobytes() == components_by_index(s).tobytes()
+
     def test_s3_diagonal_descending(self):
         ops = spin_operators(1.5)
         assert np.array_equal(np.diag(ops.z).real, [1.5, 0.5, -0.5, -1.5])
@@ -60,6 +102,17 @@ class TestValidation:
     def test_exact_construction_residuals(self, s):
         report = validate_spin_algebra(spin_operators(s))
         assert max(report.values()) <= 1e-12
+
+    def test_residuals_match_loop_bits(self, rng):
+        ops = [spin_operators(s) for s in np.arange(1, 41) / 2]
+        # dented components, whose residuals are far from round-off
+        for s in (0.5, 1.0, 2.0):
+            exact = spin_operators(s).components
+            noise = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+            ops.append(SpinOperators(s=s, components=exact + 1e-3 * noise))
+        for op in ops:
+            reference = residuals_by_components(op)
+            assert residual_bytes(validate_spin_algebra(op)) == residual_bytes(reference)
 
     def test_perturbation_is_reported(self):
         """A 1e-3 dent in S3 shows up as a commutator residual of the same size."""

@@ -122,6 +122,14 @@ class TestFamilies:
             via_sym = family_state(Sym(*spec.coefficients()))
             assert np.allclose(family_state(spec).matrix, via_sym.matrix, atol=0)
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_swap_matches_loop_bits(self, d):
+        v = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                v[i * d + j, j * d + i] = 1.0
+        assert swap_operator(d).tobytes() == v.tobytes()
+
     def test_werner_extremes(self):
         v = swap_operator(3)
         sym_projector = family_state(Werner(1.0))
@@ -151,6 +159,18 @@ class TestFamilies:
             direct[i * 3 + j, i * 3 + j] = tau / 21
             direct[j * 3 + i, j * 3 + i] = (5 - tau) / 21
         assert np.abs(via_mix - direct).max() <= 1e-14
+
+    @pytest.mark.parametrize("tau", [2.0, 2.5, 3.0, 3.7, 4.5, 5.0])
+    def test_horodecki_matches_ket_sum_bits(self, tau):
+        """The cyclic projectors as sums of basis-ket outer products: the
+        reference for their diagonal form."""
+        def projector(pairs):
+            kets = [basis_state(i, j).amplitudes for i, j in pairs]
+            return sum(np.outer(ket, ket.conj()) for ket in kets) / 3
+        cyclic = ((0, 1), (1, 2), (2, 0))
+        direct = (2 / 7 * family_state(GHZ3()).matrix + tau / 7 * projector(cyclic)
+                  + (5 - tau) / 7 * projector([(j, i) for i, j in cyclic]))
+        assert family_state(Horodecki(tau)).matrix.tobytes() == direct.tobytes()
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
