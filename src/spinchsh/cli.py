@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 malformed input or flags, 2 invariant failure,
 The library computes; this module is the one place that formats its output:
 JSON on stdout and in ``--report-out``, and every CSV through ``_write_csv``.
 ``_round_floats`` applies ``--decimals`` to every number in them (default: 12
-significant digits; two decimals for the ``--rows-out`` table).
+significant digits; two decimals for the ``--rows-out`` table); ``_parser``
+declares it at the top level and for each subcommand.
 
 The CLI reads its tables rather than repeating them: ``states.FAMILIES``
 (``--family`` and its flags), ``_SWEEPS`` (``sweep --example``; a family's
@@ -142,10 +143,15 @@ def _spin_for(args, dims):
     return inferred
 
 
+def _analysis(args):
+    """(Z, its CHSH analysis) for the state the flags name, Z by the trace route."""
+    rho = _state_from_args(args)[0]
+    Z = correlation_matrix_trace(rho, spin_operators(_spin_for(args, rho.dims)))
+    return Z, chsh_analysis(Z)
+
+
 def _cmd_gamma(args) -> int:
-    rho, _, _ = _state_from_args(args)
-    ops = spin_operators(_spin_for(args, rho.dims))
-    analysis = chsh_analysis(correlation_matrix_trace(rho, ops))
+    _, analysis = _analysis(args)
     payload = analysis.to_json()
     _print_formatted(args, payload,
                      ["singular_value_1", "singular_value_2", "singular_value_3",
@@ -166,8 +172,8 @@ def _cmd_sweep(args) -> int:
         row = [float(x), analytic_gamma(spec)]
         if family.pure:
             row.append(analytic_concurrence(spec))
-        rows.append([_round_floats(v, args.decimals) for v in row])
-    _write_csv(args.out, header, rows)
+        rows.append(row)
+    _write_csv(args.out, header, _round_floats(rows, args.decimals))
     return 0
 
 
@@ -198,10 +204,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    rho, _, _ = _state_from_args(args)
-    ops = spin_operators(_spin_for(args, rho.dims))
-    Z = correlation_matrix_trace(rho, ops)
-    analysis = chsh_analysis(Z)
+    Z, analysis = _analysis(args)
     cfg = OptimizerConfig(max_iterations=args.max_iter, convergence_tol=args.tol,
                           restarts=args.restarts, seed=args.seed)
     result = optimize_settings(Z, cfg)
@@ -269,14 +272,6 @@ def _decimal_places(text) -> int:
     return places
 
 
-def _add_decimals(p):
-    # accepted both before and after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value parsed at the top level
-    p.add_argument("--decimals", type=_decimal_places, default=argparse.SUPPRESS,
-                   help="round printed floats to this many decimal places "
-                        "(default: 12 significant digits)")
-
-
 def _add_source(p):
     p.add_argument("--family", choices=list(FAMILIES), help="named two-qutrit family")
     p.add_argument("--state-file", metavar="JSON",
@@ -288,25 +283,18 @@ def _add_source(p):
                        help=flag.help, metavar=flag.metavar)
 
 
-def _state_arguments(p):
-    _add_decimals(p)
-    _add_source(p)
-
-
 def _formatted_state_arguments(p):
-    _state_arguments(p)
+    _add_source(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _sweep_arguments(p):
-    _add_decimals(p)
     p.add_argument("--example", choices=list(_SWEEPS), required=True)
     p.add_argument("--points", type=int, default=101, help="grid size (>= 2)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
 
 def _scan_arguments(p):
-    _add_decimals(p)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--sampler", choices=(*SAMPLERS, "paper"), default="uniform",
                    help="uniform: re/im parts uniform on [0,1) (alias: paper); "
@@ -322,7 +310,7 @@ def _scan_arguments(p):
 
 
 def _optimize_arguments(p):
-    _state_arguments(p)
+    _add_source(p)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--tol", type=float, default=OptimizerConfig.convergence_tol)
@@ -338,7 +326,7 @@ _COMMANDS = {
                  _optimize_arguments),
     "concurrence": ("pure-state concurrence", _cmd_concurrence, _formatted_state_arguments),
     "validate": ("invariant checks for a state and the spin algebra", _cmd_validate,
-                 _state_arguments),
+                 _add_source),
 }
 
 
@@ -351,6 +339,11 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (summary, func, arguments) in _COMMANDS.items():
         sub = subs.add_parser(name, help=summary)
+        # accepted both before and after the subcommand; SUPPRESS keeps the
+        # subparser from clobbering a value parsed at the top level
+        sub.add_argument("--decimals", type=_decimal_places, default=argparse.SUPPRESS,
+                         help="round printed floats to this many decimal places "
+                              "(default: 12 significant digits)")
         arguments(sub)
         sub.set_defaults(func=func)
     return parser

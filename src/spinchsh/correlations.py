@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinOperators, check_unit_vector, spin_projection
+from .spin import SpinOperators, _check_spin_value, check_unit_vector, spin_projection
 from .states import DensityMatrix, Family, family_of
 
 # Imaginary parts of correlation traces must vanish for physical states.
@@ -41,8 +41,10 @@ NORM_CAP_TOL = 1e-9
 class CorrelationMatrix:
     """Real 3x3 spin correlation matrix together with the measured spin s.
 
-    ``imag_residual`` records the largest imaginary part discarded when the
-    entries were computed from operator traces (0 for analytic routes).
+    The entries must be finite and s a half-integer >= 1/2, stored snapped
+    as ``spin_operators`` stores it.  ``imag_residual`` records the largest
+    imaginary part discarded when the entries were computed from operator
+    traces (0 for analytic routes).
     """
 
     matrix: np.ndarray
@@ -53,6 +55,9 @@ class CorrelationMatrix:
         m = np.ascontiguousarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("correlation matrix entries must be finite")
+        object.__setattr__(self, "s", _check_spin_value(self.s))
         if self.s == 1.0:
             check_norm_cap(np.linalg.eigvalsh(m.T @ m))
         m.setflags(write=False)
@@ -71,7 +76,6 @@ class ChshAnalysis:
     singular_values: np.ndarray  # descending
     gamma: float
     upsilon: float
-    s: float
 
     @property
     def violated(self) -> bool:
@@ -208,7 +212,7 @@ def chsh_analysis(Z: CorrelationMatrix) -> ChshAnalysis:
     gamma = root / s_sq
     check_tsirelson(gamma)
     sv.setflags(write=False)
-    return ChshAnalysis(singular_values=sv, gamma=gamma, upsilon=2 * s_sq * gamma, s=Z.s)
+    return ChshAnalysis(singular_values=sv, gamma=gamma, upsilon=2 * s_sq * gamma)
 
 
 def chsh_expectation(rho: DensityMatrix, setting: MeasurementSetting,

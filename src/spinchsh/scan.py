@@ -70,6 +70,8 @@ class ScanConfig:
         object.__setattr__(self, "seed", check_key("seed", self.seed))
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.n_samples > 2 ** 64:  # sample indices, like seeds, lie in [0, 2**64)
+            raise ValueError(f"n_samples must be <= 2**64, got {self.n_samples}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}; choose from {SAMPLERS}")
         if self.histogram_bins < 1:
@@ -158,11 +160,11 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     check_norm_cap(ev)
     # reduced-state entry (i, k) is ((0 + P(i, k, 0)) + P(i, k, 1)) + P(i, k, 2),
     # P(i, k, j) = a[i, j] conj(a[k, j]), in each part (the 0 + is in the
-    # parts); the purity is the running sum, from 0, of re re - im (-im) over
+    # parts); the purity is the running sum, from 0, of re re + im im over
     # (i, k) in row-major order: einsum's order, which the bits depend on
     terms = parts[:, :27].reshape(2, 9, 3, b)
     rr, ri = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
-    purity = sum(rr * rr - ri * -ri, 0.0)
+    purity = sum(rr * rr + ri * ri, 0.0)
     concurrence = np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
     return gamma, concurrence
 
@@ -172,30 +174,31 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     (``[1]``) parts of each product a[m, k] conj(a[p, q]) in PRODUCTS, for a
     batch of b amplitude rows, (b, 9) or (b, 3, 3).
 
-    Each part is formed with einsum's own float operations on the factors
-    x = a[m, k] and y = conj(a[p, q]), x.re y.re - x.im y.im and
-    x.re y.im + x.im y.re, plus 0.0, because einsum adds the product into a
-    zeroed output; so each row holds the bits of the coefficient tensor's
-    entry.  (Numpy's complex ``multiply`` loop may fuse these operations and
-    round differently.)  Every row is written in place into one array.
+    With x = a[m, k] and y = a[p, q], each part is re = x.re y.re + x.im y.im
+    and im = x.im y.re - x.re y.im, plus 0.0, because einsum adds the
+    product into a zeroed output.  Einsum forms x conj(y) as
+    x.re y.re - x.im (-y.im) and x.re (-y.im) + x.im y.re; the exact IEEE
+    identities a - (-b) = a + b, x (-y) = -(x y) and a + b = b + a give
+    the same bits, so each row holds the bits of the coefficient tensor's
+    entry.  (Numpy's complex ``multiply`` loop may fuse these operations
+    and round differently.)  Every row is written in place into one array.
     """
     b = amplitudes.shape[0]
     a = amplitudes.reshape(b, 9)
     a_re = np.ascontiguousarray(a.real.T)   # (9, b); row 3 m + k is a[m, k]
     a_im = np.ascontiguousarray(a.imag.T)
-    ac_im = np.negative(a_im)               # imaginary parts of conj(a)
     parts = np.empty((2, len(PRODUCTS), b))
     scratch = np.empty(b)
     for n, (m, p, k, q) in enumerate(PRODUCTS):
         x, y = 3 * m + k, 3 * p + q
         re, im = parts[0, n], parts[1, n]
-        np.multiply(a_re[x], a_re[y], out=re)         # x.re y.re
-        np.multiply(a_im[x], ac_im[y], out=scratch)   # x.im y.im
-        np.subtract(re, scratch, out=re)
+        np.multiply(a_re[x], a_re[y], out=re)        # x.re y.re
+        np.multiply(a_im[x], a_im[y], out=scratch)   # x.im y.im
+        np.add(re, scratch, out=re)
         np.add(re, 0.0, out=re)
-        np.multiply(a_re[x], ac_im[y], out=im)        # x.re y.im
-        np.multiply(a_im[x], a_re[y], out=scratch)    # x.im y.re
-        np.add(im, scratch, out=im)
+        np.multiply(a_im[x], a_re[y], out=im)        # x.im y.re
+        np.multiply(a_re[x], a_im[y], out=scratch)   # x.re y.im
+        np.subtract(im, scratch, out=im)
         np.add(im, 0.0, out=im)
     return parts
 

@@ -35,18 +35,6 @@ class SpinOperators:
     def d(self) -> int:
         return int(round(2 * self.s + 1))
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.components[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.components[1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.components[2]
-
 
 def _check_spin_value(s: float) -> float:
     s = float(s)

@@ -265,9 +265,10 @@ class _OneParameter(Family):
 
 
 def _check_unit_coefficients(name, *coeffs):
-    total = sum(abs(c) ** 2 for c in coeffs)
-    if not abs(total - 1.0) <= NORM_TOL:  # NaN fails
-        raise ValueError(f"{name} coefficients must have unit norm, got sum |a|^2 = {total!r}")
+    checks = norm_residuals(coeffs)
+    if not checks["valid"]:  # NaN fails; an overflowing square gives inf
+        raise ValueError(f"{name} coefficients must have unit norm, "
+                         f"got norm deviation {checks['norm_deviation']!r}")
 
 
 _COEFFICIENT_HELP = "coefficient for --family antisym/sym"

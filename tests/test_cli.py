@@ -5,13 +5,18 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_mixed
 from spinchsh import PureState, Sym, cli, pure_to_density, scan
 from spinchsh.cli import main
+from spinchsh.states import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +28,16 @@ def run_cli(capsys, *argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# families with numeric flags, and text for those flags beyond ordinary values
+_NUMERIC_FAMILIES = sorted(name for name, family in FAMILIES.items()
+                           if family.flags and all(flag.type in (float, complex)
+                                                   for flag in family.flags))
+_EDGE_TEXT = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e200", "1e200j", "-1e200j",
+              "5e-324", "-5e-324", "1e-310j", "0", "1", "-1", "0.5"]
+_NUMBER_TEXT = st.one_of(st.sampled_from(_EDGE_TEXT), st.floats().map(repr),
+                         st.complex_numbers().map(repr))
 
 
 class TestGamma:
@@ -124,8 +139,9 @@ class TestGamma:
             assert main(argv) == 1, argv
             assert capsys.readouterr().err.startswith("error: expected a list of"), argv
 
-    def test_nan_coefficient_exit_1(self, capsys):
-        code = main(["gamma", "--family", "sym", "--alpha11", "nan", "--alpha22", "0", "--alpha33", "0"])
+    @pytest.mark.parametrize("value", ["nan", "1e200"])
+    def test_nan_coefficient_exit_1(self, capsys, value):
+        code = main(["gamma", "--family", "sym", "--alpha11", value, "--alpha22", "0", "--alpha33", "0"])
         assert code == 1
         assert "coefficients must have unit norm" in capsys.readouterr().err
 
@@ -146,6 +162,24 @@ class TestGamma:
         with pytest.raises(SystemExit) as err:
             main(["gamma", "--family", "ghz3", "--bogus"])
         assert err.value.code == 1
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(name=st.sampled_from(_NUMERIC_FAMILIES), data=st.data())
+    def test_family_flag_text_exits_cleanly(self, name, data):
+        """Any float or complex text in a family flag ends in exit 0, 1 or 2,
+        and a non-zero exit names its error; no exception escapes."""
+        argv = ["gamma", "--family", name]
+        for flag in FAMILIES[name].flags:
+            argv += [flag.name, data.draw(_NUMBER_TEXT, label=flag.name)]
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses text its flag type cannot read
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code:
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines()), argv
 
     def test_spin_mismatch_exit_1(self, capsys):
         assert main(["gamma", "--family", "ghz3", "--spin", "0.5"]) == 1

@@ -190,6 +190,21 @@ class TestChshAnalysis:
         with pytest.raises(ValueError):
             CorrelationMatrix(np.diag([1.5, 0.0, 0.0]), s=1.0)
 
+    @pytest.mark.parametrize("matrix, s", [
+        (0.1 * np.eye(3), 0.0),
+        (0.1 * np.eye(3), 1.3),
+        (0.1 * np.eye(3), -1.0),
+        (0.1 * np.eye(3), math.nan),
+        (np.full((3, 3), math.nan), 1.0),
+        (np.diag([math.inf, 0.0, 0.0]), 2.0),
+    ])
+    def test_out_of_domain_rejected(self, matrix, s):
+        with pytest.raises(ValueError, match="half-integer|finite"):
+            chsh_analysis(CorrelationMatrix(matrix, s=s))
+
+    def test_spin_stored_snapped(self):
+        assert CorrelationMatrix(np.zeros((3, 3)), s=1.5 + 1e-12).s == 1.5
+
 
 class TestChshExpectation:
 

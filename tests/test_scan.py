@@ -35,6 +35,12 @@ class TestRunScan:
         with pytest.raises(ValueError, match="seed"):
             ScanConfig(n_samples=10, seed=seed)
 
+    def test_n_samples_outside_index_domain_rejected(self):
+        # sample indices lie in [0, 2**64), so 2**64 samples is the most a scan can draw
+        assert ScanConfig(n_samples=2 ** 64).n_samples == 2 ** 64
+        with pytest.raises(ValueError, match="n_samples"):
+            ScanConfig(n_samples=2 ** 64 + 1)
+
     def test_largest_seed_accepted(self):
         top = 2 ** 64 - 1
         report = run_scan(ScanConfig(n_samples=3, seed=top))

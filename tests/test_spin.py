@@ -56,16 +56,16 @@ class TestConstruction:
         s1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / SQ2
         s2 = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / SQ2
         s3 = np.diag([1.0, 0.0, -1.0])
-        assert np.allclose(ops.x, s1, atol=0)
-        assert np.allclose(ops.y, s2, atol=0)
-        assert np.array_equal(ops.z, s3.astype(complex))
+        assert np.allclose(ops.components[0], s1, atol=0)
+        assert np.allclose(ops.components[1], s2, atol=0)
+        assert np.array_equal(ops.components[2], s3.astype(complex))
         assert ops.d == 3
 
     def test_spin_half_is_half_pauli(self):
         ops = spin_operators(0.5)
-        assert np.allclose(ops.x, np.array([[0, 1], [1, 0]]) / 2)
-        assert np.allclose(ops.y, np.array([[0, -1j], [1j, 0]]) / 2)
-        assert np.allclose(ops.z, np.diag([1, -1]) / 2)
+        assert np.allclose(ops.components[0], np.array([[0, 1], [1, 0]]) / 2)
+        assert np.allclose(ops.components[1], np.array([[0, -1j], [1j, 0]]) / 2)
+        assert np.allclose(ops.components[2], np.diag([1, -1]) / 2)
 
     def test_spin1_casimir_and_trace(self):
         """S1^2 + S2^2 + S3^2 = 2 I and tr[S_j S_k] = 2 delta_jk for s = 1."""
@@ -83,7 +83,7 @@ class TestConstruction:
 
     def test_s3_diagonal_descending(self):
         ops = spin_operators(1.5)
-        assert np.array_equal(np.diag(ops.z).real, [1.5, 0.5, -0.5, -1.5])
+        assert np.array_equal(np.diag(ops.components[2]).real, [1.5, 0.5, -0.5, -1.5])
 
     @pytest.mark.parametrize("bad", [0.7, 0.0, -1.0, 0.25])
     def test_rejects_non_half_integer(self, bad):

@@ -187,7 +187,7 @@ class TestFamilies:
             Sym(0.5, 0.5, 0.5)
 
     @pytest.mark.parametrize("family", [Antisym, Sym])
-    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), np.inf, 1e200, 1e200j])
     def test_non_finite_coefficients_rejected(self, family, bad):
         with pytest.raises(ValueError, match="coefficients must have unit norm"):
             family(bad, 0.0, 0.0)
