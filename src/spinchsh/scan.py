@@ -1,9 +1,10 @@
 """Seeded Monte Carlo scan over random pure two-qutrit states.
 
 Each sample is drawn from its own (seed, index) substream, piped through the
-coefficient-tensor correlation route (only the tensor entries that route and
-the purity read are built) to the CHSH parameter gamma and the concurrence,
-and folded into an order-independent reduction (max, counts, histogram).
+coefficient-tensor correlation route (only the distinct tensor entries that
+route and the purity read are built) to the CHSH parameter gamma and the
+concurrence, and folded into an order-independent reduction (max, counts,
+histogram).
 Reports are therefore byte-identical across worker counts.
 
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
@@ -18,7 +19,6 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 from multiprocessing import Pool
@@ -49,7 +49,19 @@ SAMPLE_ROW_COUNT = 50
 PRODUCTS = ([(i, k, j, j) for i, k, j in product(range(3), repeat=3)]
             + [(m, p, k, q) for m, p, k, q in product(range(3), repeat=4)
                if abs(m - p) <= 1 and abs(k - q) == 1])
-PRODUCT_ROW = {entry: n for n, entry in enumerate(PRODUCTS)}
+# The conjugate of the product (m, p, k, q) is (p, m, q, k), also in PRODUCTS.
+# 9 products are their own conjugate: (i, i, j, j), the reduced state's
+# diagonal, which is a[x] conj(a[x]) for x = 3 i + j, in x order.  The other
+# 46 form 23 pairs, and the kernel computes the member of each whose first
+# factor comes first in row-major order (3 m + k < 3 p + q), in PRODUCTS
+# order: the 9 of the reduced state with i < k, then 14 others.  Their
+# imaginary parts are every one correlation_from_coefficients reads and all
+# the purity needs; of a partner, only the real part is read.
+PAIRED = [(m, p, k, q) for m, p, k, q in PRODUCTS if 3 * m + k < 3 * p + q]
+DIAGONAL = [(i, i, j, j) for i, j in product(range(3), repeat=2)]
+# row of each computed product's real part in _amplitude_parts; a paired
+# product's imaginary part is len(PRODUCT_ROW) rows further on
+PRODUCT_ROW = {entry: n for n, entry in enumerate(PAIRED + DIAGONAL)}
 # Relative widening of the kernel's two bounds on gamma; float round-off in
 # ||Z||_F^2, det Z and eigvalsh is near 1e-15.
 SCREEN_MARGIN = 1e-9
@@ -137,8 +149,10 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     einsum route: ``correlation_from_coefficients`` of
     ``einsum("bmk,bpq->bmpkq", a, a.conj())``, and the reduced state and
     purity by ``einsum("bij,bkj->bik", ...)`` and
-    ``einsum("bik,bik->b", ...)``.  Each product is formed as einsum forms
-    it (see ``_amplitude_parts``), and each sum is taken in einsum's order.
+    ``einsum("bik,bik->b", ...)``.  Only the 32 distinct products are
+    formed, each as einsum forms it (see ``_amplitude_parts``); a partner
+    is read through its conjugate (see ``_PureBatch``), and each sum is
+    taken in einsum's order.
 
     Concurrence, exact for every row, is sqrt(2 (1 - purity)), which
     bottoms out near 1e-8 for near-product states, where
@@ -161,18 +175,25 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     # reduced-state entry (i, k) is ((0 + P(i, k, 0)) + P(i, k, 1)) + P(i, k, 2),
     # P(i, k, j) = a[i, j] conj(a[k, j]), in each part (the 0 + is in the
     # parts); the purity is the running sum, from 0, of re re + im im over
-    # (i, k) in row-major order: einsum's order, which the bits depend on
-    terms = parts[:, :27].reshape(2, 9, 3, b)
-    rr, ri = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
-    purity = sum(rr * rr + ri * ri, 0.0)
+    # (i, k) in row-major order: einsum's order, which the bits depend on.
+    # Entry (k, i) has the real part of (i, k) and its imaginary part
+    # negated, up to the sign of a zero, so both have one term; a diagonal
+    # entry's imaginary part is +0, so its term is re re
+    upper_re, upper_im = (parts[n:n + 9].reshape(3, 3, b) for n in (0, len(PRODUCT_ROW)))
+    diagonal = parts[len(PAIRED):len(PRODUCT_ROW)].reshape(3, 3, b)
+    rr, ri, dr = ((t[:, 0] + t[:, 1]) + t[:, 2] for t in (upper_re, upper_im, diagonal))
+    t01, t02, t12 = rr * rr + ri * ri
+    t00, t11, t22 = dr * dr
+    purity = sum((t00, t01, t02, t01, t11, t12, t02, t12, t22), 0.0)
     concurrence = np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, None))
     return gamma, concurrence
 
 
 def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
-    """(2, len(PRODUCTS), b) float64 array: the real (``[0]``) and imaginary
-    (``[1]``) parts of each product a[m, k] conj(a[p, q]) in PRODUCTS, for a
-    batch of b amplitude rows, (b, 9) or (b, 3, 3).
+    """(55, b) float64 array of the distinct products a[m, k] conj(a[p, q]),
+    for a batch of b amplitude rows, (b, 9) or (b, 3, 3): row
+    ``PRODUCT_ROW[entry]`` is the real part of each entry of PAIRED and
+    DIAGONAL, and the 23 rows after those 32 the imaginary parts of PAIRED.
 
     With x = a[m, k] and y = a[p, q], each part is re = x.re y.re + x.im y.im
     and im = x.im y.re - x.re y.im, plus 0.0, because einsum adds the
@@ -181,17 +202,27 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     identities a - (-b) = a + b, x (-y) = -(x y) and a + b = b + a give
     the same bits, so each row holds the bits of the coefficient tensor's
     entry.  (Numpy's complex ``multiply`` loop may fuse these operations
-    and round differently.)  Every row is written in place into one array.
+    and round differently.)  A diagonal product's real part x.re x.re +
+    x.im x.im is never -0, so the + 0.0 changes none of its bits, and its
+    imaginary part, +0.0, is not stored.  Every row is written in place
+    into one array.
     """
     b = amplitudes.shape[0]
     a = amplitudes.reshape(b, 9)
     a_re = np.ascontiguousarray(a.real.T)   # (9, b); row 3 m + k is a[m, k]
     a_im = np.ascontiguousarray(a.imag.T)
-    parts = np.empty((2, len(PRODUCTS), b))
+    parts = np.empty((len(PRODUCT_ROW) + len(PAIRED), b))
+    real, imag = parts[:len(PRODUCT_ROW)], parts[len(PRODUCT_ROW):]
+    # the diagonal first, squaring the imaginary plane into rows not yet
+    # written, so that no (9, b) scratch array is needed
+    diagonal = real[len(PAIRED):]                       # x = 0 .. 8 in order
+    np.multiply(a_re, a_re, out=diagonal)
+    np.multiply(a_im, a_im, out=imag[:9])
+    np.add(diagonal, imag[:9], out=diagonal)
     scratch = np.empty(b)
-    for n, (m, p, k, q) in enumerate(PRODUCTS):
+    for n, (m, p, k, q) in enumerate(PAIRED):
         x, y = 3 * m + k, 3 * p + q
-        re, im = parts[0, n], parts[1, n]
+        re, im = real[n], imag[n]
         np.multiply(a_re[x], a_re[y], out=re)        # x.re y.re
         np.multiply(a_im[x], a_im[y], out=scratch)   # x.im y.im
         np.add(re, scratch, out=re)
@@ -203,24 +234,47 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     return parts
 
 
-# One entry of a coefficient tensor, as correlation_from_coefficients reads it.
-_Entry = namedtuple("_Entry", "real imag")
+class _Entry:
+    """One entry of a coefficient tensor, as correlation_from_coefficients
+    reads it: rows ``real`` and ``imag``.  ``imag`` is the row ``own_imag``
+    of a computed entry; for the conjugate of one (``conjugate=True``) it
+    is that row's (-im) + 0.0, the bits einsum gives (fl(u - v) = -fl(v -
+    u), and + 0.0 turns -0 into +0), and for a diagonal entry
+    (``own_imag=None``) it is +0.0.  Those two are formed only when read,
+    and the kernel reads neither."""
+
+    __slots__ = ("real", "own_imag", "conjugate")
+
+    def __init__(self, real, own_imag, conjugate=False):
+        self.real, self.own_imag, self.conjugate = real, own_imag, conjugate
+
+    @property
+    def imag(self) -> np.ndarray:
+        if self.own_imag is None:
+            return np.zeros_like(self.real)
+        if self.conjugate:
+            return np.negative(self.own_imag) + 0.0
+        return self.own_imag
 
 
 class _PureBatch:
     """The (b, 3, 3, 3, 3) coefficient tensor of a batch of pure states, as
-    far as correlation_from_coefficients reads it: ``[..., m, p, k, q]``
-    gives the real and imaginary rows of that product in
-    ``_amplitude_parts``."""
+    far as correlation_from_coefficients reads it, over the rows of
+    ``_amplitude_parts``: ``[..., m, p, k, q]`` is the ``_Entry`` of a
+    computed product, or of the conjugate (p, m, q, k) of one, whose real
+    part is the same row (products commute, and so does +)."""
 
     def __init__(self, parts: np.ndarray):
         self.parts = parts
-        self.shape = (parts.shape[2], 3, 3, 3, 3)
+        self.shape = (parts.shape[1], 3, 3, 3, 3)
         self.nbytes = parts.nbytes
 
     def __getitem__(self, key) -> _Entry:
-        n = PRODUCT_ROW[key[1:]]
-        return _Entry(self.parts[0, n], self.parts[1, n])
+        m, p, k, q = entry = key[1:]
+        conjugate = 3 * m + k > 3 * p + q
+        n = PRODUCT_ROW[(p, m, q, k) if conjugate else entry]
+        own_imag = self.parts[len(PRODUCT_ROW) + n] if n < len(PAIRED) else None
+        return _Entry(self.parts[n], own_imag, conjugate)
 
 
 def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:

@@ -365,28 +365,32 @@ class TestKernelMatchesEinsumRoute:
 
     @staticmethod
     def kernel(amps, monkeypatch):
-        """The kernel's (Z, gamma, concurrence), Z captured where the kernel
-        calls correlation_from_coefficients."""
+        """The kernel's (Z, gamma, concurrence) and the batch it passes to
+        correlation_from_coefficients, both captured there."""
         seen = []
 
         def recording(coeffs):
-            seen.append(correlation_from_coefficients(coeffs))
-            return seen[-1]
+            seen.append((coeffs, correlation_from_coefficients(coeffs)))
+            return seen[-1][1]
 
         monkeypatch.setattr(scan, "correlation_from_coefficients", recording)
         gamma, conc = batch_gamma_concurrence(amps)
-        (z,) = seen
-        return z, gamma, conc
+        ((batch, z),) = seen
+        return (z, gamma, conc), batch
 
     def check(self, amps, monkeypatch):
-        for got, want in zip(self.kernel(amps, monkeypatch), einsum_route(amps)):
+        figures, batch = self.kernel(amps, monkeypatch)
+        for got, want in zip(figures, einsum_route(amps)):
             assert_same_bits(got, want)
+        # every entry the kernel's batch answers, computed or a partner, in
+        # both parts; PRODUCTS covers each entry correlation_from_coefficients
+        # and the purity read (test_products_are_the_entries_read)
         a = amps.reshape(-1, 3, 3)
         tensor = np.einsum("bmk,bpq->bmpkq", a, a.conj())
-        parts = scan._amplitude_parts(amps)
-        for n, (m, p, k, q) in enumerate(scan.PRODUCTS):
-            assert_same_bits(parts[0, n], tensor[:, m, p, k, q].real)
-            assert_same_bits(parts[1, n], tensor[:, m, p, k, q].imag)
+        for entry in scan.PRODUCTS:
+            got, want = batch[(..., *entry)], tensor[(..., *entry)]
+            assert_same_bits(got.real, want.real)
+            assert_same_bits(got.imag, want.imag)
 
     @pytest.mark.parametrize("seed, start", [(0, 0), (11, 77 * CHUNK), (2 ** 63 + 5, 2 ** 64 - CHUNK)])
     @pytest.mark.parametrize("sampler", ["uniform", "haar"])
@@ -421,21 +425,68 @@ class TestKernelMatchesEinsumRoute:
 
     def test_products_are_the_entries_read(self):
         """PRODUCTS holds each entry correlation_from_coefficients reads, and
-        the reduced state's 27 first, in (i, k, j) order."""
-        read = set()
+        the reduced state's 27 first, in (i, k, j) order.  The kernel
+        computes one product of each conjugate pair and the 9 diagonal ones,
+        and exactly the parts that correlation_from_coefficients and the
+        purity read, directly or through a partner."""
+        read = set()   # (entry, part) pairs
+
+        class Entry:
+            def __init__(self, entry):
+                self.entry = entry
+
+            def __getattr__(self, part):
+                read.add((self.entry, part))
+                return np.zeros(1)
 
         class Recording:
             shape = (1, 3, 3, 3, 3)
 
             def __getitem__(self, key):
-                read.add(key[1:])
-                return np.zeros(1, dtype=complex)
+                return Entry(key[1:])
 
         correlation_from_coefficients(Recording())
         reduced = [(i, k, j, j) for i in range(3) for k in range(3) for j in range(3)]
         assert scan.PRODUCTS[:27] == reduced
-        assert set(scan.PRODUCTS) == read | set(reduced)
+        assert set(scan.PRODUCTS) == {entry for entry, _ in read} | set(reduced)
         assert len(scan.PRODUCTS) == len(set(scan.PRODUCTS)) == 55
+
+        def conjugate(entry):
+            m, p, k, q = entry
+            return (p, m, q, k)
+
+        # the representatives: one of each of the 23 pairs, the first of each
+        # pair in PRODUCTS order among the reduced state's 9 pairs (i < k)
+        diagonal = [entry for entry in scan.PRODUCTS if conjugate(entry) == entry]
+        assert scan.DIAGONAL == diagonal == [(i, i, j, j) for i in range(3) for j in range(3)]
+        pairs = {frozenset((entry, conjugate(entry))) for entry in scan.PRODUCTS} - {
+            frozenset((entry,)) for entry in diagonal}
+        assert len(scan.PAIRED) == len(pairs) == 23
+        assert {frozenset((entry, conjugate(entry))) for entry in scan.PAIRED} == pairs
+        assert scan.PAIRED[:9] == [(i, k, j, j) for i, k in ((0, 1), (0, 2), (1, 2)) for j in range(3)]
+        assert scan.PAIRED == [entry for entry in scan.PRODUCTS if entry in scan.PAIRED]
+
+        def representative(entry):
+            return entry if entry in scan.PRODUCT_ROW else conjugate(entry)
+
+        # the computed part each read part comes from.  A diagonal entry's
+        # imaginary part is +0.0 and comes from none.  No imaginary part
+        # correlation_from_coefficients reads is a partner's, which the batch
+        # would negate; the purity squares each imaginary part of the reduced
+        # state, so a partner's comes from its representative's
+        sources = {("real", representative(entry)) for entry, part in read if part == "real"}
+        for entry, part in read:
+            if part == "imag" and entry not in diagonal:
+                assert entry in scan.PAIRED, entry
+                sources.add(("imag", entry))
+        for entry in reduced:
+            sources.add(("real", representative(entry)))
+            if entry not in diagonal:
+                sources.add(("imag", representative(entry)))
+        computed = ({("real", entry) for entry in scan.PAIRED + diagonal}
+                    | {("imag", entry) for entry in scan.PAIRED})
+        assert sources == computed
+        assert scan._amplitude_parts(chunk()[:4]).shape == (len(computed), 4) == (55, 4)
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
