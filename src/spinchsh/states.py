@@ -548,7 +548,9 @@ def family_state(spec: Family) -> DensityMatrix:
 # based generator, and each sample is drawn from the stream numpy's
 # Philox(key=(seed, i)) gives, so samples are independent of batching,
 # ordering and worker count.  Both samplers compute the raw words of every
-# key of a batch at once (``_philox_raw``).  The uniform sampler scales them;
+# key of a batch as array operations (``_philox_raw``), a tile of keys at a
+# time; each word depends only on its key and counter, so neither the batch
+# nor the tile changes a bit.  The uniform sampler scales them;
 # the Gaussian sampler applies numpy's ziggurat fast path to them
 # (``_ziggurat_fast_path``), and only a sample with a draw that path rejects
 # (about one in four) has its generator assigned the state
@@ -556,14 +558,22 @@ def family_state(spec: Family) -> DensityMatrix:
 # setter, and lets numpy draw it again.  Seeds and indices outside [0, 2**64)
 # are rejected rather than wrapped, so no two seeds name the same stream.
 
-# Philox-4x64-10 constants (Salmon et al., SC'11).  Every constant and shift
-# is a numpy uint64, so numpy 1.x value-based casting and numpy 2 (NEP 50)
-# both keep the arithmetic in exact, wrapping 64-bit words.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Philox-4x64-10 constants (Salmon et al., SC'11), stacked (2, 1, 1) along
+# the two multiplied lanes x0 and x2 of a round, with the multipliers'
+# 32-bit halves.  Every constant and shift is a numpy uint64, so numpy 1.x
+# value-based casting and numpy 2 (NEP 50) both keep the arithmetic in
+# exact, wrapping 64-bit words.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
+# Keys per tile of _philox_raw's rounds.  At 18 words a key its six buffers
+# then take under 1 MB, which a 2 MiB L2 cache holds; of tiles of 512 to
+# 8192 keys, 2048 measured fastest on such a Xeon (BENCH_chunk.json), as a
+# smaller tile pays more in ufunc calls than the cache saves
+_PHILOX_TILE = 2048
 _SHIFT_DOUBLE = np.uint64(11)  # random() keeps the top 53 bits of a word
 
 # numpy's standard-normal ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8),
@@ -594,22 +604,29 @@ def keyed_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(m, x) -> tuple:
-    """(hi, lo), the high and low words of the 128-bit products m * x, for a
-    uint64 constant m; the high word is summed from 32-bit partial products,
-    none of which overflows, and the low word is the wrapped product."""
-    m_lo, m_hi = m & _LO32, m >> _SHIFT32
-    lo, hi = x & _LO32, x >> _SHIFT32  # halves of x, reused in place below
-    cross_lo, cross_hi = m_lo * hi, m_hi * lo
-    lo *= m_lo
-    lo >>= _SHIFT32
-    lo += cross_lo & _LO32
-    lo += cross_hi & _LO32  # carry into the high word, below 2**34
-    hi *= m_hi
-    hi += cross_lo >> _SHIFT32
-    hi += cross_hi >> _SHIFT32
-    hi += lo >> _SHIFT32
-    return hi, m * x
+def _mulhilo(lanes: slice, x, hi, lo, t, u) -> None:
+    """Write into ``hi`` and ``lo`` the high and low words of the 128-bit
+    products m * x, m the multipliers ``_PHILOX_M[lanes]`` broadcast along
+    x's first axis; ``t`` and ``u`` are scratch, all of x's shape.  The high
+    word is summed from 32-bit partial products as in Hacker's Delight's
+    ``mulhu``, where no partial sum overflows; the low word is the wrapped
+    product."""
+    m_lo, m_hi = _PHILOX_M_LO[lanes], _PHILOX_M_HI[lanes]
+    np.bitwise_and(x, _LO32, out=u)         # x.lo
+    np.multiply(u, m_lo, out=t)
+    np.right_shift(t, _SHIFT32, out=t)      # (x.lo m.lo) >> 32
+    np.right_shift(x, _SHIFT32, out=hi)     # x.hi
+    np.multiply(hi, m_lo, out=lo)
+    np.add(lo, t, out=t)                    # x.hi m.lo + carry, below 2**64
+    np.multiply(u, m_hi, out=u)
+    np.bitwise_and(t, _LO32, out=lo)
+    np.add(u, lo, out=u)                    # x.lo m.hi + low half, below 2**64
+    np.right_shift(t, _SHIFT32, out=t)
+    np.multiply(hi, m_hi, out=hi)
+    np.add(hi, t, out=hi)
+    np.right_shift(u, _SHIFT32, out=u)
+    np.add(hi, u, out=hi)
+    np.multiply(x, _PHILOX_M[lanes], out=lo)
 
 
 def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
@@ -617,24 +634,55 @@ def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
     ``np.random.Philox(key=(seed, start + i)).random_raw()``.
 
     numpy increments the counter before each block of four words, so block
-    b of a key is Philox-4x64-10 of counter (b + 1, 0, 0, 0).  Each lane is
-    one contiguous array over (key, block), and the zero counter words
-    broadcast until the rounds have mixed them in.
+    b of a key is Philox-4x64-10 of counter (b + 1, 0, 0, 0).  The rounds
+    run over tiles of at most ``_PHILOX_TILE`` keys, each lane pair one
+    (2, tile, blocks) array: (x0, x2), the words a round multiplies, which
+    its one ``_mulhilo`` takes at once, and (x1, x3).  Every operation
+    writes into a few buffers allocated once, sized to min(tile, count),
+    and each tile's last round writes its words straight into the result.
+    Round 0 and the x0 half of round 1 do not depend on the key (the zero
+    counter words have not been mixed in yet), so they are computed once,
+    per block.
     """
     blocks = -(-k // 4)
+    out = np.empty((count, blocks, 4), dtype=np.uint64)
+    tile = max(1, min(_PHILOX_TILE, count))
     k0 = np.uint64(seed)
-    k1 = (np.uint64(start) + np.arange(count, dtype=np.uint64))[:, None]
-    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0 = k0 + _PHILOX_BUMP[0]
-                k1 = k1 + _PHILOX_BUMP[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * blocks)[:, :k]
+    # round 0 on counter (b + 1, 0, 0, 0) leaves x0 = k0, x1 = 0, x2 = hi ^ k1
+    # and x3 = lo, hi and lo from x0's product; round 1 then multiplies k0
+    first = np.empty((4, 1, 1, blocks), dtype=np.uint64)    # hi, lo and scratch
+    _mulhilo(slice(0, 1), np.arange(1, blocks + 1, dtype=np.uint64).reshape(1, 1, blocks), *first)
+    ctr_hi, ctr_lo = first[:2, 0]            # (1, blocks)
+    second = np.empty((4, 1, 1, 1), dtype=np.uint64)
+    _mulhilo(slice(0, 1), np.full((1, 1, 1), k0), *second)
+    key_hi, key_lo = second[:2, 0]           # (1, 1)
+    mixed = ctr_lo ^ key_hi                  # x2 after round 1, before the key
+    keys = np.empty((2, tile, 1), dtype=np.uint64)
+    ramp = np.arange(tile, dtype=np.uint64)
+    buffers = np.empty((6, 2, tile, blocks), dtype=np.uint64)
+    for t0 in range(0, count, tile):
+        n = min(tile, count - t0)
+        x, y, hi, lo, t, u = buffers[:, :, :n]   # (x0, x2) and (x1, x3)
+        key = keys[:, :n]
+        key[0] = k0
+        np.add(ramp[:n, None], np.uint64(start + t0), out=key[1])
+        np.bitwise_xor(ctr_hi, key[1], out=x[1])          # x2 after round 0
+        np.add(key, _PHILOX_BUMP, out=key)
+        _mulhilo(slice(1, 2), x[1:], hi[1:], lo[1:], t[1:], u[1:])
+        np.bitwise_xor(hi[1], key[0], out=x[0])
+        np.bitwise_xor(mixed, key[1], out=x[1])
+        lo[0] = key_lo
+        y, lo = lo[::-1], y                                 # (x1, x3) after round 1
+        words = out[t0:t0 + n].transpose(2, 0, 1)           # x0 .. x3, each (n, blocks)
+        for r in range(2, _PHILOX_ROUNDS):
+            np.add(key, _PHILOX_BUMP, out=key)
+            _mulhilo(slice(None), x, hi, lo, t, u)
+            # x0 = hi(x2) ^ x1 ^ k0, x2 = hi(x0) ^ x3 ^ k1; x1 = lo(x2), x3 = lo(x0)
+            np.bitwise_xor(hi[::-1], y, out=x)
+            np.bitwise_xor(x, key, out=x if r < _PHILOX_ROUNDS - 1 else words[0::2])
+            y, lo = lo[::-1], y
+        words[1::2] = y
+    return out.reshape(count, 4 * blocks)[:, :k]
 
 
 def _ziggurat_fast_path(seed: int, start: int, count: int, k: int) -> tuple:

@@ -17,7 +17,7 @@ from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
                       sample_pure_state, state_from_json, swap_operator)
 from spinchsh.states import (keyed_generator, norm_residuals, physicality_residuals,
                              sample_amplitude_batch)
-from spinchsh.states import _from_pairs, _philox_raw, _ziggurat_fast_path
+from spinchsh.states import _PHILOX_TILE, _from_pairs, _philox_raw, _ziggurat_fast_path
 from spinchsh import ziggurat
 
 
@@ -361,6 +361,22 @@ class TestVectorizedPhilox:
         for i, row in enumerate(words):
             ref = np.random.Philox(key=np.array([seed, start + i], np.uint64)).random_raw(k)
             assert np.array_equal(row, ref)
+
+    # one key, a tile short of one key, one tile, one key over and two tiles
+    # and three keys over; the first batch ends at the last key
+    @pytest.mark.parametrize("seed, last", [(2 ** 63 + 5, 2 ** 64 - 1), (9, 3 * _PHILOX_TILE + 11)])
+    @pytest.mark.parametrize("count", [1, _PHILOX_TILE - 1, _PHILOX_TILE, _PHILOX_TILE + 1,
+                                       2 * _PHILOX_TILE + 3])
+    @pytest.mark.parametrize("k", [1, 3, 4, 18, 21])
+    def test_tile_edges_match_numpy(self, seed, last, count, k):
+        start = last - count + 1
+        words = _philox_raw(seed, start, count, k)
+        assert words.dtype == np.uint64 and words.shape == (count, k)
+        # both ends of the batch and of each tile, and a stride through it
+        edges = {i for t in range(0, count, _PHILOX_TILE) for i in (t, t + _PHILOX_TILE - 1)}
+        for i in sorted((edges | set(range(0, count, 97)) | {count - 1}) & set(range(count))):
+            ref = np.random.Philox(key=np.array([seed, start + i], np.uint64)).random_raw(k)
+            assert np.array_equal(words[i], ref), i
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4), (5, 5)])
     @pytest.mark.parametrize("seed, start", [(0, 0), (2 ** 63 + 5, 2 ** 64 - 3)])
