@@ -4,8 +4,7 @@ Each sample is drawn from its own (seed, index) substream, piped through the
 coefficient-tensor correlation route (only the distinct tensor entries that
 route and the purity read are built) to the CHSH parameter gamma and the
 concurrence, and folded into an order-independent reduction (max, counts,
-histogram).
-Reports are therefore byte-identical across worker counts.
+histogram).  Reports are therefore byte-identical across worker counts.
 
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
 records such states in full rather than treating them as errors.
