@@ -26,7 +26,8 @@ import numpy as np
 
 from .correlations import (VIOLATION_TOL, check_norm_cap, check_tsirelson,
                            correlation_from_coefficients, top_two_root)
-from .states import SAMPLERS, PureState, _to_pairs, check_key, sample_amplitude_batch
+from .states import (SAMPLERS, PureState, _to_pairs, amplitude_rows, check_key,
+                     sample_amplitude_batch)
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +131,9 @@ class ScanReport:
 
 
 def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None = None) -> tuple:
-    """(gamma, concurrence) arrays for a batch of normalized amplitude rows.
+    """(gamma, concurrence) arrays for a batch of b normalized pure states,
+    given as the (2, 9, b) or (2, 3, 3, b) float planes (re, im) that
+    ``sample_amplitude_batch`` returns.
 
     With ``keep_leading=None`` (the default) every gamma is exact.  With a
     non-negative int, only the rows a scan reduction can read are exact:
@@ -161,7 +164,7 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     matrix of operator norm above 1, raises ValueError, as ``chsh_analysis``
     and ``CorrelationMatrix`` do; a row the screen drops can breach neither.
     """
-    b = amplitudes.shape[0]
+    b = amplitudes.shape[-1]
     parts = _amplitude_parts(amplitudes)
     z = correlation_from_coefficients(_PureBatch(parts))
     keep = slice(None) if keep_leading is None else _screen(z, keep_leading)
@@ -190,9 +193,10 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
 
 def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     """(55, b) float64 array of the distinct products a[m, k] conj(a[p, q]),
-    for a batch of b amplitude rows, (b, 9) or (b, 3, 3): row
-    ``PRODUCT_ROW[entry]`` is the real part of each entry of PAIRED and
-    DIAGONAL, and the 23 rows after those 32 the imaginary parts of PAIRED.
+    for a batch of b states given as planes (re, im), (2, 9, b) or
+    (2, 3, 3, b): row ``PRODUCT_ROW[entry]`` is the real part of each entry
+    of PAIRED and DIAGONAL, and the 23 rows after those 32 the imaginary
+    parts of PAIRED.
 
     With x = a[m, k] and y = a[p, q], each part is re = x.re y.re + x.im y.im
     and im = x.im y.re - x.re y.im, plus 0.0, because einsum adds the
@@ -204,12 +208,10 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     and round differently.)  A diagonal product's real part x.re x.re +
     x.im x.im is never -0, so the + 0.0 changes none of its bits, and its
     imaginary part, +0.0, is not stored.  Every row is written in place
-    into one array.
+    into one array, read straight from the plane rows.
     """
-    b = amplitudes.shape[0]
-    a = amplitudes.reshape(b, 9)
-    a_re = np.ascontiguousarray(a.real.T)   # (9, b); row 3 m + k is a[m, k]
-    a_im = np.ascontiguousarray(a.imag.T)
+    b = amplitudes.shape[-1]
+    a_re, a_im = amplitudes.reshape(2, 9, b)   # row 3 m + k is a[m, k]
     parts = np.empty((len(PRODUCT_ROW) + len(PAIRED), b))
     real, imag = parts[:len(PRODUCT_ROW)], parts[len(PRODUCT_ROW):]
     # the diagonal first, squaring the imaginary plane into rows not yet
@@ -295,23 +297,25 @@ def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:
 
 def _scan_chunk(args) -> dict:
     cfg, edges, start, stop = args
-    amps = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, start, stop - start)
-    gamma, conc = batch_gamma_concurrence(amps, keep_leading=max(0, SAMPLE_ROW_COUNT - start))
+    planes = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, start, stop - start)
+    gamma, conc = batch_gamma_concurrence(planes, keep_leading=max(0, SAMPLE_ROW_COUNT - start))
     hist, _ = np.histogram(np.clip(conc, 0.0, CONCURRENCE_MAX), bins=edges)
     local_arg = int(np.argmax(gamma))
     viol = np.nonzero(gamma > 1.0 + VIOLATION_TOL)[0]
-    # report states go back as lists: a view would keep the whole chunk alive,
-    # and PureState owns the array it makes from a list on any worker count
+    recorded = viol[:VIOLATION_RECORD_CAP]
+    leading = range(min(stop, SAMPLE_ROW_COUNT) - start)   # empty past the leading samples
+    # complex rows only for the states a report keeps.  They go back as
+    # lists: PureState owns the array it makes from a list on any worker count
     return {
         "max_gamma": float(gamma[local_arg]),
         "argmax_index": start + local_arg,
-        "argmax_row": amps[local_arg].tolist(),
+        "argmax_row": amplitude_rows(planes[..., [local_arg]])[0].tolist(),
         "violation_count": len(viol),
-        "violations": [(start + int(i), float(gamma[i]), amps[i].tolist())
-                       for i in viol[:VIOLATION_RECORD_CAP]],
+        "violations": [(start + int(i), float(gamma[i]), row.tolist())
+                       for i, row in zip(recorded, amplitude_rows(planes[..., recorded]))],
         "hist": hist,
-        "rows": [(amps[i].copy(), float(gamma[i]))  # none past the leading samples
-                 for i in range(min(stop, SAMPLE_ROW_COUNT) - start)],
+        "rows": [(row, float(gamma[i]))
+                 for i, row in zip(leading, amplitude_rows(planes[..., leading]))],
         "min_concurrence": float(conc.min()),
         "low_concurrence_count": int((conc <= LOW_CONCURRENCE).sum()),
     }

@@ -157,14 +157,12 @@ def _to_pairs(values) -> list:
 
 def _from_pairs(pairs, shape: tuple) -> np.ndarray:
     """The complex array of ``shape`` from a row-major list of [re, im]
-    pairs, or from a float array of them (read without a copy); raises
-    ValueError unless there is exactly one pair of finite numbers per entry."""
+    pairs; raises ValueError unless there is exactly one pair of finite
+    numbers per entry."""
     try:
-        if isinstance(pairs, np.ndarray):
-            numeric = pairs.dtype.kind in "iuf"
-        else:  # numpy would read the string "1" and True as 1.0
-            numeric = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                          for pair in pairs for x in pair)
+        # numpy would read the string "1" and True as 1.0
+        numeric = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                      for pair in pairs for x in pair)
         pairs = np.asarray(pairs, dtype=float) if numeric else None
     except (TypeError, ValueError):  # not nested lists, or ragged
         pairs = None
@@ -549,7 +547,8 @@ def family_state(spec: Family) -> DensityMatrix:
 # Philox(key=(seed, i)) gives, so samples are independent of batching,
 # ordering and worker count.  Both samplers compute the raw words of every
 # key of a batch as array operations (``_philox_raw``), a tile of keys at a
-# time; each word depends only on its key and counter, so neither the batch
+# time, word-major: one contiguous row per word, holding that word of every
+# key.  Each word depends only on its key and counter, so neither the batch
 # nor the tile changes a bit.  The uniform sampler scales them;
 # the Gaussian sampler applies numpy's ziggurat fast path to them
 # (``_ziggurat_fast_path``), and only a sample with a draw that path rejects
@@ -557,6 +556,12 @@ def family_state(spec: Family) -> DensityMatrix:
 # Philox(key=(seed, i)) starts in, through numpy's documented ``state``
 # setter, and lets numpy draw it again.  Seeds and indices outside [0, 2**64)
 # are rejected rather than wrapped, so no two seeds name the same stream.
+#
+# The draws stay in word-major rows: ``_normalize`` divides them by each
+# sample's norm in place, with the bits of numpy's complex division, and a
+# batch leaves the sampler as float planes (re, im) of shape (2, n, count),
+# the form the scan kernel reads.  Complex rows (``amplitude_rows``) are
+# built only for the samples a caller keeps.
 
 # Philox-4x64-10 constants (Salmon et al., SC'11), stacked (2, 1, 1) along
 # the two multiplied lanes x0 and x2 of a round, with the multipliers'
@@ -630,42 +635,43 @@ def _mulhilo(lanes: slice, x, hi, lo, t, u) -> None:
 
 
 def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
-    """(count, k) uint64 array whose row i is the first k words of
-    ``np.random.Philox(key=(seed, start + i)).random_raw()``.
+    """(k, count) uint64 array whose column i is the first k words of
+    ``np.random.Philox(key=(seed, start + i)).random_raw()``: row j holds
+    word j of every key, contiguously.
 
     numpy increments the counter before each block of four words, so block
     b of a key is Philox-4x64-10 of counter (b + 1, 0, 0, 0).  The rounds
-    run over tiles of at most ``_PHILOX_TILE`` keys, each lane pair one
-    (2, tile, blocks) array: (x0, x2), the words a round multiplies, which
-    its one ``_mulhilo`` takes at once, and (x1, x3).  Every operation
-    writes into a few buffers allocated once, sized to min(tile, count),
-    and each tile's last round writes its words straight into the result.
-    Round 0 and the x0 half of round 1 do not depend on the key (the zero
-    counter words have not been mixed in yet), so they are computed once,
-    per block.
+    run over tiles of at most ``_PHILOX_TILE`` keys, with the key axis last,
+    each lane pair one (2, blocks, tile) array: (x0, x2), the words a round
+    multiplies, which its one ``_mulhilo`` takes at once, and (x1, x3).
+    Every operation writes into a few buffers allocated once, sized to
+    min(tile, count), and each tile's last round writes its words straight
+    into the result.  Round 0 and the x0 half of round 1 do not depend on
+    the key (the zero counter words have not been mixed in yet), so they
+    are computed once, per block.
     """
     blocks = -(-k // 4)
-    out = np.empty((count, blocks, 4), dtype=np.uint64)
+    out = np.empty((blocks, 4, count), dtype=np.uint64)
     tile = max(1, min(_PHILOX_TILE, count))
     k0 = np.uint64(seed)
     # round 0 on counter (b + 1, 0, 0, 0) leaves x0 = k0, x1 = 0, x2 = hi ^ k1
     # and x3 = lo, hi and lo from x0's product; round 1 then multiplies k0
-    first = np.empty((4, 1, 1, blocks), dtype=np.uint64)    # hi, lo and scratch
-    _mulhilo(slice(0, 1), np.arange(1, blocks + 1, dtype=np.uint64).reshape(1, 1, blocks), *first)
-    ctr_hi, ctr_lo = first[:2, 0]            # (1, blocks)
+    first = np.empty((4, 1, blocks, 1), dtype=np.uint64)    # hi, lo and scratch
+    _mulhilo(slice(0, 1), np.arange(1, blocks + 1, dtype=np.uint64).reshape(1, blocks, 1), *first)
+    ctr_hi, ctr_lo = first[:2, 0]            # (blocks, 1)
     second = np.empty((4, 1, 1, 1), dtype=np.uint64)
     _mulhilo(slice(0, 1), np.full((1, 1, 1), k0), *second)
     key_hi, key_lo = second[:2, 0]           # (1, 1)
     mixed = ctr_lo ^ key_hi                  # x2 after round 1, before the key
-    keys = np.empty((2, tile, 1), dtype=np.uint64)
+    keys = np.empty((2, 1, tile), dtype=np.uint64)
     ramp = np.arange(tile, dtype=np.uint64)
-    buffers = np.empty((6, 2, tile, blocks), dtype=np.uint64)
+    buffers = np.empty((6, 2, blocks, tile), dtype=np.uint64)
     for t0 in range(0, count, tile):
         n = min(tile, count - t0)
-        x, y, hi, lo, t, u = buffers[:, :, :n]   # (x0, x2) and (x1, x3)
-        key = keys[:, :n]
+        x, y, hi, lo, t, u = buffers[..., :n]   # (x0, x2) and (x1, x3)
+        key = keys[..., :n]
         key[0] = k0
-        np.add(ramp[:n, None], np.uint64(start + t0), out=key[1])
+        np.add(ramp[:n], np.uint64(start + t0), out=key[1, 0])
         np.bitwise_xor(ctr_hi, key[1], out=x[1])          # x2 after round 0
         np.add(key, _PHILOX_BUMP, out=key)
         _mulhilo(slice(1, 2), x[1:], hi[1:], lo[1:], t[1:], u[1:])
@@ -673,7 +679,7 @@ def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
         np.bitwise_xor(mixed, key[1], out=x[1])
         lo[0] = key_lo
         y, lo = lo[::-1], y                                 # (x1, x3) after round 1
-        words = out[t0:t0 + n].transpose(2, 0, 1)           # x0 .. x3, each (n, blocks)
+        words = out[..., t0:t0 + n].transpose(1, 0, 2)      # x0 .. x3, each (blocks, n)
         for r in range(2, _PHILOX_ROUNDS):
             np.add(key, _PHILOX_BUMP, out=key)
             _mulhilo(slice(None), x, hi, lo, t, u)
@@ -682,7 +688,7 @@ def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
             np.bitwise_xor(x, key, out=x if r < _PHILOX_ROUNDS - 1 else words[0::2])
             y, lo = lo[::-1], y
         words[1::2] = y
-    return out.reshape(count, 4 * blocks)[:, :k]
+    return out.reshape(4 * blocks, count)[:k]
 
 
 def _ziggurat_fast_path(seed: int, start: int, count: int, k: int) -> tuple:
@@ -693,38 +699,57 @@ def _ziggurat_fast_path(seed: int, start: int, count: int, k: int) -> tuple:
     ``idx = r & 0xff``, then with ``r >>= 8`` the sign bit ``r & 1`` and the
     magnitude ``rabs = (r >> 1) & (2**52 - 1)``; it takes ``±rabs *
     wi[idx]`` iff ``rabs < ki[idx]`` and otherwise reads further words.  So
-    row i of the (count, k) float array x is that key's draws bit for bit
-    unless i is in ``slow``, the rows (Python ints) with a word the fast path
-    rejects.  The words are reworked in place to keep the peak memory near
-    two (count, k) arrays.
+    column i of the (k, count) float array x is that key's draws bit for
+    bit unless i is in ``slow``, the columns (Python ints) with a word the
+    fast path rejects.  The words are reworked in place, and x takes their
+    memory, so the peak stays near two (k, count) arrays.
     """
     r = _philox_raw(seed, start, count, k)
-    idx = (r & _LOW_BYTE).astype(np.uint8)
+    scratch = np.empty_like(r)
+    idx = np.bitwise_and(r, _LOW_BYTE, out=scratch).astype(np.uint8)
     r >>= _SHIFT_BYTE
-    negative = (r & _ONE).astype(bool)
+    negative = np.bitwise_and(r, _ONE, out=scratch).astype(bool)
     r >>= _ONE
     r &= _MANTISSA
-    slow = np.flatnonzero((r >= _ZIGGURAT_KI[idx]).any(axis=1)).tolist()
-    x = r.astype(np.float64)
-    del r
-    x *= _ZIGGURAT_WI[idx]
-    del idx
+    # mode="clip" (a no-op on a uint8 index into 256 entries) writes out=
+    # directly, where the default mode would go through a buffer
+    ki = np.take(_ZIGGURAT_KI, idx, out=scratch, mode="clip")
+    slow = np.flatnonzero((r >= ki).any(axis=0)).tolist()
+    x = np.take(_ZIGGURAT_WI, idx, out=scratch.view(np.float64), mode="clip")
+    x *= r
     np.negative(x, out=x, where=negative)
     return x, slow
+
+
+def amplitude_rows(planes) -> np.ndarray:
+    """The (b, n) complex amplitude rows of (2, n, b) planes (re, im): each
+    part is copied, not computed, so every bit, the sign of a zero
+    included, is the plane's."""
+    re, im = planes
+    rows = np.empty(re.shape[::-1], dtype=complex)
+    rows.real = re.T
+    rows.imag = im.T
+    return rows
 
 
 def sample_pure_state(dims=(3, 3), sampler: str = "uniform",
                       seed: int = 0, index: int = 0) -> PureState:
     """Draw one random normalized pure state, determined by (seed, index):
-    row 0 of ``sample_amplitude_batch`` started at ``index``."""
-    return PureState(sample_amplitude_batch(dims, sampler, seed, index, 1)[0], tuple(dims))
+    sample 0 of ``sample_amplitude_batch`` started at ``index``."""
+    planes = sample_amplitude_batch(dims, sampler, seed, index, 1)
+    return PureState(amplitude_rows(planes)[0], tuple(dims))
 
 
 def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int) -> np.ndarray:
-    """Normalized amplitude rows for sample indices start .. start+count-1.
+    """Normalized amplitudes of samples start .. start+count-1, as
+    (2, n, count) float planes re and im, n = d_A d_B: row ``[p, x]``
+    holds part p of amplitude x of every sample and is C-contiguous (the
+    planes are a view of the sampler's (n, 2, count) draws, so the array as
+    a whole is not).
 
-    Row i is sample start + i bit for bit in any batch; this is the one
-    path from (seed, index) to a sample.
+    Column i is sample start + i bit for bit in any batch; this is the one
+    path from (seed, index) to a sample.  ``amplitude_rows`` turns the
+    planes into complex (count, n) rows.
     """
     dims = _check_dims(dims)
     if sampler not in SAMPLERS:
@@ -739,16 +764,16 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     # uniform: real and imaginary parts uniform on [0, 1); all amplitudes lie
     # in the closed first quadrant before (and after) normalization.  haar:
     # independent standard complex Gaussians; invariant under rotations,
-    # hence uniform on the unit sphere after normalization.
+    # hence uniform on the unit sphere after normalization.  Draw 2 x + p
+    # of a sample is part p of its amplitude x
     if sampler == "uniform":
         # Generator.random(): the top 53 bits of each raw word, times 2**-53
-        words = _philox_raw(seed, start, count, 2 * n).reshape(count * n, 2)
-        pairs = (words >> _SHIFT_DOUBLE) * 2.0 ** -53
+        draws = (_philox_raw(seed, start, count, 2 * n) >> _SHIFT_DOUBLE) * 2.0 ** -53
     else:
         # Generator.standard_normal(): the ziggurat's fast path on every raw
         # word, then numpy itself redraws each sample that path cannot finish
         draws, slow = _ziggurat_fast_path(seed, start, count, 2 * n)
-        pairs = draws.reshape(count * n, 2)  # [re, im] of each amplitude, n rows per sample
+        block = np.empty((len(slow), 2 * n))
         bitgen = np.random.Philox(key=[0, 0])
         rng = np.random.Generator(bitgen)
         # the state Philox(key=(seed, start + i)) starts in; the setter copies
@@ -758,10 +783,43 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
                  "state": {"key": key, "counter": np.zeros(4, dtype=np.uint64)},
                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for i in slow:
+        for row, i in zip(block, slow):
             key[1] = start + i
             bitgen.state = state
-            rng.standard_normal(out=pairs[i * n:(i + 1) * n])
-    out = _from_pairs(pairs, (count, n))
-    out /= np.sqrt(np.sum(out.real ** 2 + out.imag ** 2, axis=1, keepdims=True))
-    return out
+            rng.standard_normal(out=row)
+        draws[:, slow] = block.T
+    return _normalize(draws.reshape(n, 2, count))
+
+
+def _normalize(pairs: np.ndarray) -> np.ndarray:
+    """Divide the (n, 2, b) [re, im] draws in place by each sample's norm,
+    with the bits of the complex route they replace, ``a = re + 1j * im``
+    and then ``a /= sqrt(sum(a.real**2 + a.imag**2))`` over each sample's
+    n amplitudes; returns them as a (2, n, b) view, the planes re and im.
+
+    ``1j * im`` is (0 im - 0) + (0 + im) j, so a's parts are re + 0 im and
+    im + 0 (the zeros change only the sign of a zero).  The squares are
+    written as a (b, n) array, so numpy's reduction adds them in the order
+    it did over the complex route's (b, n) rows.  numpy divides a complex a
+    by a real d, as d + 0j, by Smith's method (CACM Algorithm 116): scl =
+    1 / (d + 0 * 0), then (a.re + a.im 0) scl and (a.im - a.re 0) scl.  At
+    d = 0 it divides each part by d instead, which scl = inf matches.
+    """
+    re, im = pairs[:, 0], pairs[:, 1]
+    squares, scratch = np.empty((2,) + re.shape)
+    np.multiply(im, 0.0, out=scratch)
+    np.add(re, scratch, out=re)             # re + 0 im
+    np.add(im, 0.0, out=im)                 # im + 0
+    np.multiply(re, re, out=squares)
+    np.multiply(im, im, out=scratch)
+    rows = np.empty(re.shape[::-1])
+    np.add(squares, scratch, out=rows.T)
+    scl = np.sqrt(np.sum(rows, axis=1))
+    np.divide(1.0, scl, out=scl)
+    np.multiply(re, 0.0, out=scratch)       # a.re 0, before a.re is scaled
+    np.multiply(im, 0.0, out=squares)
+    np.add(re, squares, out=re)
+    np.subtract(im, scratch, out=im)
+    planes = pairs.transpose(1, 0, 2)
+    planes *= scl
+    return planes

@@ -21,11 +21,18 @@ from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh
 from spinchsh.correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
 from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
 from spinchsh import cli, scan, states
-from spinchsh.states import sample_amplitude_batch
+from spinchsh.states import amplitude_rows, sample_amplitude_batch
 
 
 def pipeline_gamma(psi):
     return chsh_analysis(correlation_matrix_coeff(pure_to_density(psi))).gamma
+
+
+def planes_of(rows):
+    """The float planes (re, im), shape (2, ..., b), of a batch of complex
+    amplitude rows (b, ...): the form batch_gamma_concurrence takes."""
+    rows = np.asarray(rows)
+    return np.ascontiguousarray(np.moveaxis(np.stack((rows.real, rows.imag)), 1, -1))
 
 
 class TestRunScan:
@@ -131,7 +138,7 @@ class TestRunScan:
         ghz = np.full((3, 9), 0.0, dtype=complex)
         ghz[:, [0, 4, 8]] = 2 / math.sqrt(3)
         with pytest.raises(ValueError, match="quantum cap"):
-            batch_gamma_concurrence(ghz)
+            batch_gamma_concurrence(planes_of(ghz))
 
     def test_kernel_rejects_norm_above_one(self):
         # 1.1 |11> has Z = diag(0, 0, 1.21): gamma 1.21 passes the Tsirelson
@@ -140,7 +147,7 @@ class TestRunScan:
         rows[0, [0, 4, 8]] = 1 / math.sqrt(3)
         rows[1, 0] = 1.1
         with pytest.raises(ValueError, match="operator norm"):
-            batch_gamma_concurrence(rows)
+            batch_gamma_concurrence(planes_of(rows))
         with pytest.raises(ValueError, match="operator norm"):
             CorrelationMatrix(np.diag([1.21, 0.0, 0.0]), s=1.0)
 
@@ -210,7 +217,7 @@ class TestReportStates:
     def test_argmax_state_is_the_drawn_row(self, sampler, workers):
         n = CHUNK + 300   # two chunks
         report = run_scan(ScanConfig(n_samples=n, sampler=sampler, seed=3, workers=workers))
-        batch = sample_amplitude_batch((3, 3), sampler, 3, 0, n)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), sampler, 3, 0, n))
         self.assert_own_row(report.argmax_state, batch[report.argmax_index])
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -228,7 +235,7 @@ class TestReportStates:
         marked_rows = [start + i for start in (0, CHUNK) for i in range(0, CHUNK, 137)]
         assert report.violation_count == len(marked_rows) > scan.VIOLATION_RECORD_CAP
         assert [i for i, _, _ in report.violations] == marked_rows[:scan.VIOLATION_RECORD_CAP]
-        batch = sample_amplitude_batch((3, 3), "uniform", 4, 0, n)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "uniform", 4, 0, n))
         for i, gamma, state in report.violations:
             assert gamma == 1.25
             self.assert_own_row(state, batch[i])
@@ -237,7 +244,8 @@ class TestReportStates:
 
 
 def chunk(sampler="uniform", seed=3, start=0):
-    return sample_amplitude_batch((3, 3), sampler, seed, start, CHUNK)
+    """A full chunk of samples as complex amplitude rows."""
+    return amplitude_rows(sample_amplitude_batch((3, 3), sampler, seed, start, CHUNK))
 
 
 def basis_row(scale, *indices):
@@ -250,8 +258,8 @@ def basis_row(scale, *indices):
 def screen_matches_exact(amps, keep_leading):
     """Screened and exact kernel on one batch: every figure a scan reduction
     reads agrees bit for bit.  Returns (screened, exact) gamma."""
-    exact, conc = batch_gamma_concurrence(amps)
-    screened, screened_conc = batch_gamma_concurrence(amps, keep_leading=keep_leading)
+    exact, conc = batch_gamma_concurrence(planes_of(amps))
+    screened, screened_conc = batch_gamma_concurrence(planes_of(amps), keep_leading=keep_leading)
     kept = np.isfinite(screened)
     assert np.array_equal(screened_conc, conc)
     assert np.all(screened[~kept] == -np.inf)       # dropped rows hold -inf, never NaN
@@ -276,17 +284,18 @@ class TestScreenedKernel:
 
     def test_tie_for_maximum_first_in_chunk_order(self, monkeypatch):
         starts = (0, CHUNK, 2 * CHUNK)
-        exact = {start: batch_gamma_concurrence(chunk(seed=5, start=start))[0] for start in starts}
+        exact = {start: batch_gamma_concurrence(planes_of(chunk(seed=5, start=start)))[0]
+                 for start in starts}
         best = max(starts, key=lambda start: exact[start].max())
         top = chunk(seed=5, start=best)[np.argmax(exact[best])]
 
         def tied(dims, sampler, seed, start, count):   # the top row again at 7 and 900
-            amps = sample_amplitude_batch(dims, sampler, seed, start, count)
+            amps = amplitude_rows(sample_amplitude_batch(dims, sampler, seed, start, count))
             amps[[7, 900]] = top
-            return amps
+            return planes_of(amps)
 
         for start in starts:
-            screened, _ = screen_matches_exact(tied((3, 3), "uniform", 5, start, CHUNK), 0)
+            screened, _ = screen_matches_exact(amplitude_rows(tied((3, 3), "uniform", 5, start, CHUNK)), 0)
             assert screened[7] == screened[900] == exact[best].max()
         monkeypatch.setattr(scan, "sample_amplitude_batch", tied)
         report = run_scan(ScanConfig(n_samples=len(starts) * CHUNK, seed=5))
@@ -325,11 +334,11 @@ class TestScreenedKernel:
         amps[700, 3] = value
         for keep_leading in (None, 0):
             with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-                batch_gamma_concurrence(amps, keep_leading=keep_leading)
+                batch_gamma_concurrence(planes_of(amps), keep_leading=keep_leading)
 
     def test_negative_keep_leading_rejected(self):
         with pytest.raises(ValueError, match="keep_leading"):
-            batch_gamma_concurrence(chunk()[:10], keep_leading=-1)
+            batch_gamma_concurrence(planes_of(chunk()[:10]), keep_leading=-1)
 
     @pytest.mark.parametrize("row, match", [
         (basis_row(2.0, 0, 4, 8), "quantum cap"),    # GHZ x 2: gamma 3.77
@@ -339,7 +348,7 @@ class TestScreenedKernel:
         amps = chunk()
         amps[CHUNK - 10] = row
         with pytest.raises(ValueError, match=match):
-            batch_gamma_concurrence(amps, keep_leading=0)
+            batch_gamma_concurrence(planes_of(amps), keep_leading=0)
 
 
 def einsum_route(amps):
@@ -374,7 +383,7 @@ class TestKernelMatchesEinsumRoute:
             return seen[-1][1]
 
         monkeypatch.setattr(scan, "correlation_from_coefficients", recording)
-        gamma, conc = batch_gamma_concurrence(amps)
+        gamma, conc = batch_gamma_concurrence(planes_of(amps))
         ((batch, z),) = seen
         return (z, gamma, conc), batch
 
@@ -416,12 +425,12 @@ class TestKernelMatchesEinsumRoute:
 
     def test_row_shapes(self):
         amps = chunk()[:100]
-        for got, want in zip(batch_gamma_concurrence(amps.reshape(100, 3, 3)),
-                             batch_gamma_concurrence(amps)):
+        for got, want in zip(batch_gamma_concurrence(planes_of(amps.reshape(100, 3, 3))),
+                             batch_gamma_concurrence(planes_of(amps))):
             assert_same_bits(got, want)
         for bad in (np.zeros((4, 10), dtype=complex), np.zeros((4, 8), dtype=complex)):
             with pytest.raises(ValueError):
-                batch_gamma_concurrence(bad)
+                batch_gamma_concurrence(planes_of(bad))
 
     def test_products_are_the_entries_read(self):
         """PRODUCTS holds each entry correlation_from_coefficients reads, and
@@ -486,7 +495,7 @@ class TestKernelMatchesEinsumRoute:
         computed = ({("real", entry) for entry in scan.PAIRED + diagonal}
                     | {("imag", entry) for entry in scan.PAIRED})
         assert sources == computed
-        assert scan._amplitude_parts(chunk()[:4]).shape == (len(computed), 4) == (55, 4)
+        assert scan._amplitude_parts(planes_of(chunk()[:4])).shape == (len(computed), 4) == (55, 4)
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -638,8 +647,9 @@ class TestTableRows:
         rows = self.table(tmp_path, "--n", "10", "--seed", "12", "--rows", "5")
         assert len(rows) == 5
         assert all(len(r) == 19 for r in rows)
-        amps = sample_amplitude_batch((3, 3), "uniform", 12, 0, 5)
-        gamma, _ = batch_gamma_concurrence(amps)
+        planes = sample_amplitude_batch((3, 3), "uniform", 12, 0, 5)
+        gamma, _ = batch_gamma_concurrence(planes)
+        amps = amplitude_rows(planes)
         for i, row in enumerate(rows):
             assert row[-1] == round(float(gamma[i]), 2)
             assert row[0] == round(float(amps[i, 0].real), 2)

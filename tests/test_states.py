@@ -15,9 +15,10 @@ from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
                       Horodecki, Product, PureState, ReducedState, StateInvariantError, Sym,
                       Werner, family_pure, family_state, mix, pure_to_density,
                       sample_pure_state, state_from_json, swap_operator)
-from spinchsh.states import (keyed_generator, norm_residuals, physicality_residuals,
-                             sample_amplitude_batch)
-from spinchsh.states import _PHILOX_TILE, _from_pairs, _philox_raw, _ziggurat_fast_path
+from spinchsh.states import (amplitude_rows, keyed_generator, norm_residuals,
+                             physicality_residuals, sample_amplitude_batch)
+from spinchsh.states import (_PHILOX_TILE, _from_pairs, _normalize, _philox_raw,
+                             _ziggurat_fast_path)
 from spinchsh import ziggurat
 
 
@@ -271,7 +272,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("sampler", ["uniform", "haar"])
     def test_batch_equals_single_path_bitwise(self, sampler):
-        batch = sample_amplitude_batch((3, 3), sampler, seed=21, start=10, count=40)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), sampler, seed=21, start=10, count=40))
         for i in range(40):
             single = sample_pure_state((3, 3), sampler, seed=21, index=10 + i)
             assert np.array_equal(batch[i], single.amplitudes)
@@ -302,7 +303,7 @@ class TestSampling:
         # samples either side of index, so row 0 is not always the key
         start = index - min(index, 2)
         count = min(index + 2, 2 ** 64 - 1) - start + 1
-        batch = sample_amplitude_batch((3, 3), sampler, seed, start, count)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), sampler, seed, start, count))
         assert batch.shape == (count, 9)
         for i, row in enumerate(batch):
             rng = keyed_generator(seed, start + i)
@@ -314,7 +315,7 @@ class TestSampling:
     def test_haar_marginal_statistics(self):
         """Mean of |psi_11|^2 sits within 3 standard errors of 1/9."""
         n = 10_000
-        batch = sample_amplitude_batch((3, 3), "haar", seed=5, start=0, count=n)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", seed=5, start=0, count=n))
         mean = float(np.mean(np.abs(batch[:, 0]) ** 2))
         # |psi_11|^2 is Beta(1, 8): variance (n-1)/(n^2 (n+1)) at n = 9
         se = np.sqrt(8 / (81 * 10) / n)
@@ -357,8 +358,8 @@ class TestVectorizedPhilox:
     @pytest.mark.parametrize("k", [1, 3, 4, 6, 18, 21])
     def test_raw_words_match_numpy(self, seed, start, k):
         words = _philox_raw(seed, start, 4, k)
-        assert words.dtype == np.uint64 and words.shape == (4, k)
-        for i, row in enumerate(words):
+        assert words.dtype == np.uint64 and words.shape == (k, 4)
+        for i, row in enumerate(words.T):
             ref = np.random.Philox(key=np.array([seed, start + i], np.uint64)).random_raw(k)
             assert np.array_equal(row, ref)
 
@@ -371,22 +372,23 @@ class TestVectorizedPhilox:
     def test_tile_edges_match_numpy(self, seed, last, count, k):
         start = last - count + 1
         words = _philox_raw(seed, start, count, k)
-        assert words.dtype == np.uint64 and words.shape == (count, k)
+        assert words.dtype == np.uint64 and words.shape == (k, count)
+        assert all(row.flags.c_contiguous for row in words)
         # both ends of the batch and of each tile, and a stride through it
         edges = {i for t in range(0, count, _PHILOX_TILE) for i in (t, t + _PHILOX_TILE - 1)}
         for i in sorted((edges | set(range(0, count, 97)) | {count - 1}) & set(range(count))):
             ref = np.random.Philox(key=np.array([seed, start + i], np.uint64)).random_raw(k)
-            assert np.array_equal(words[i], ref), i
+            assert np.array_equal(words[:, i], ref), i
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4), (5, 5)])
     @pytest.mark.parametrize("seed, start", [(0, 0), (2 ** 63 + 5, 2 ** 64 - 3)])
     def test_uniform_rows_match_keyed_generator(self, dims, seed, start):
-        batch = sample_amplitude_batch(dims, "uniform", seed, start, 3)
+        batch = amplitude_rows(sample_amplitude_batch(dims, "uniform", seed, start, 3))
         assert np.array_equal(batch, keyed_uniform_rows(dims, seed, start, 3))
 
     def test_full_chunk_matches_keyed_generator_at_a_stride(self):
         seed, start, count = 11, 5 * 8192, 8192
-        batch = sample_amplitude_batch((3, 3), "uniform", seed, start, count)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "uniform", seed, start, count))
         for i in range(0, count, 97):
             assert np.array_equal(batch[i], keyed_uniform_rows((3, 3), seed, start + i, 1)[0])
         assert np.array_equal(batch[-1], keyed_uniform_rows((3, 3), seed, start + count - 1, 1)[0])
@@ -395,7 +397,63 @@ class TestVectorizedPhilox:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (5, 5)])
     def test_empty_batch_shape(self, sampler, dims):
         batch = sample_amplitude_batch(dims, sampler, 0, 0, 0)
-        assert batch.shape == (0, dims[0] * dims[1])
+        assert batch.shape == (2, dims[0] * dims[1], 0)
+        assert amplitude_rows(batch).shape == (0, dims[0] * dims[1])
+
+
+class TestSamplePlanes:
+    """A batch leaves the sampler as float planes (re, im), normalized in
+    place with the bits of the complex route they replaced: the [re, im]
+    pairs made complex, then divided by the norm, numpy's complex / real
+    (Smith's method) over its pairwise sum of the squares."""
+
+    # signed zeros, subnormals, finite values and ones whose square
+    # underflows or overflows
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 0.75, -1.5, 3e-170, -1e200]
+
+    @staticmethod
+    def complex_route(draws):
+        """(b, n) complex rows of (b, 2n) draws, normalized as a complex array."""
+        pairs = draws.reshape(len(draws), -1, 2)
+        amps = pairs[:, :, 0] + 1j * pairs[:, :, 1]
+        amps /= np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2, axis=1, keepdims=True))
+        return amps
+
+    # n = 144 amplitudes take numpy's recursive pairwise summation (n > 128)
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (12, 12)])
+    def test_edge_values_in_every_slot_match_complex_bits(self, dims):
+        n = dims[0] * dims[1]
+        rng = np.random.default_rng(n)
+        rows = []
+        for slot in range(2 * n):
+            for value in self.EDGES:
+                row = rng.standard_normal(2 * n)
+                row[slot] = value
+                rows.append(row)
+        # rows of edge values only: some norms are 0 (every part then NaN or
+        # inf), underflow or overflow
+        rows.extend(rng.choice(self.EDGES, (400, 2 * n)))
+        draws = np.array(rows)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = self.complex_route(draws)
+            planes = _normalize(np.ascontiguousarray(draws.T).reshape(n, 2, len(draws)))
+        assert planes.shape == (2, n, len(draws))
+        assert amplitude_rows(planes).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sampler", ["uniform", "haar"])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_plane_rows_are_contiguous(self, sampler, dims):
+        # the scan kernel reads each plane row as one contiguous run
+        planes = sample_amplitude_batch(dims, sampler, 3, 0, 100)
+        assert planes.shape == (2, dims[0] * dims[1], 100) and planes.dtype == np.float64
+        assert all(row.flags.c_contiguous for plane in planes for row in plane)
+
+    def test_amplitude_rows_copy_every_bit(self):
+        planes = np.array([[[-0.0, 5e-324, 1.0]], [[0.0, -0.0, -5e-324]]])
+        rows = amplitude_rows(planes)
+        assert rows.shape == (3, 1) and rows.flags.c_contiguous
+        assert rows.real.T.tobytes() == planes[0].tobytes()
+        assert rows.imag.T.tobytes() == planes[1].tobytes()
 
 
 def words_read(rng):
@@ -422,7 +480,7 @@ def normalized_rows(draws):
 def first_rejections(seed, start, count, k=18):
     """(row, position, word) of the first fast-path rejection in each row
     with one, from the committed tables, for the keys (seed, start + row)."""
-    words = _philox_raw(seed, start, count, k)
+    words = _philox_raw(seed, start, count, k).T
     rabs = (words >> np.uint64(9)) & np.uint64(2 ** 52 - 1)
     rejected = rabs >= np.array(ziggurat.KI_DOUBLE, dtype=np.uint64)[words & np.uint64(0xFF)]
     first = rejected.argmax(axis=1)
@@ -449,8 +507,9 @@ class TestZigguratFastPath:
     def test_full_chunk_matches_numpy(self, seed, start):
         count = 8192
         draws, slow = _ziggurat_fast_path(seed, start, count, self.K)
+        assert draws.shape == (self.K, count)
         assert all(type(i) is int for i in slow)
-        batch = sample_amplitude_batch((3, 3), "haar", seed, start, count)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", seed, start, count))
         reference = np.empty((count, self.K))
         slow_set = set(slow)
         for i in range(count):
@@ -458,11 +517,11 @@ class TestZigguratFastPath:
             # a row is slow exactly when numpy read more than one word per draw
             assert (i in slow_set) == (read > self.K)
         fast = np.setdiff1d(np.arange(count), slow)
-        assert np.array_equal(draws[fast], reference[fast])
+        assert np.array_equal(draws.T[fast], reference[fast])
         assert np.array_equal(batch, normalized_rows(reference))
         # the rows compared above cover every layer and both signs; layer 1
         # (ki = 0) is never taken on the fast path, every other layer is
-        words = _philox_raw(seed, start, count, self.K)
+        words = _philox_raw(seed, start, count, self.K).T
         assert set((words & np.uint64(0xFF)).ravel().tolist()) == set(range(256))
         fast_words = words[fast]
         assert ziggurat.KI_DOUBLE[1] == 0
@@ -490,14 +549,15 @@ class TestZigguratFastPath:
         expected = normalized_rows(reference[None, :])[0]
         assert np.array_equal(sample_pure_state((3, 3), "haar", 0, i).amplitudes, expected)
         start = max(i - 1, 0)
-        assert np.array_equal(sample_amplitude_batch((3, 3), "haar", 0, start, 3)[i - start], expected)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", 0, start, 3))
+        assert np.array_equal(batch[i - start], expected)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_small_batch_shapes(self, count):
         draws, slow = _ziggurat_fast_path(2 ** 63 + 5, 2 ** 64 - 1 - count, count, self.K)
-        assert draws.shape == (count, self.K) and draws.dtype == np.float64
+        assert draws.shape == (self.K, count) and draws.dtype == np.float64
         assert set(slow) <= set(range(count))
-        assert sample_amplitude_batch((3, 3), "haar", 5, 2 ** 64 - 1 - count, count).shape == (count, 9)
+        assert sample_amplitude_batch((3, 3), "haar", 5, 2 ** 64 - 1 - count, count).shape == (2, 9, count)
 
     def test_tables_match_installed_numpy(self):
         extract = load_extract_script()
@@ -558,7 +618,7 @@ class TestKeyDomain:
 
     def test_largest_seed_and_index_accepted(self):
         top = 2 ** 64 - 1
-        batch = sample_amplitude_batch((3, 3), "haar", top, top - 1, 2)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", top, top - 1, 2))
         assert np.array_equal(batch[1], sample_pure_state((3, 3), "haar", top, top).amplitudes)
 
     @pytest.mark.parametrize("seed, index", [
@@ -566,7 +626,8 @@ class TestKeyDomain:
     def test_high_key_words_keep_single_and_batch_paths_equal(self, seed, index):
         # a key with one word above 2**63 and one below must not lose bits
         single = sample_pure_state((3, 3), "uniform", seed, index).amplitudes
-        assert np.array_equal(single, sample_amplitude_batch((3, 3), "uniform", seed, index, 1)[0])
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "uniform", seed, index, 1))
+        assert np.array_equal(single, batch[0])
         assert not np.array_equal(single, sample_pure_state((3, 3), "uniform", seed ^ 1, index).amplitudes)
 
     def test_non_integer_seed_rejected(self):
@@ -574,7 +635,7 @@ class TestKeyDomain:
             keyed_generator(1.5, 0)
 
     def test_empty_batch(self):
-        assert sample_amplitude_batch((3, 3), "uniform", 0, 0, 0).shape == (0, 9)
+        assert sample_amplitude_batch((3, 3), "uniform", 0, 0, 0).shape == (2, 9, 0)
 
 
 class TestPhysicalityResiduals:
