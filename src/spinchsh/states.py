@@ -701,8 +701,9 @@ def _ziggurat_fast_path(seed: int, start: int, count: int, k: int) -> tuple:
     wi[idx]`` iff ``rabs < ki[idx]`` and otherwise reads further words.  So
     column i of the (k, count) float array x is that key's draws bit for
     bit unless i is in ``slow``, the columns (Python ints) with a word the
-    fast path rejects.  The words are reworked in place, and x takes their
-    memory, so the peak stays near two (k, count) arrays.
+    fast path rejects.  The words are reworked in place, and one scratch
+    array holds each table lookup in turn and then x, so the peak stays
+    near two (k, count) arrays.
     """
     r = _philox_raw(seed, start, count, k)
     scratch = np.empty_like(r)
