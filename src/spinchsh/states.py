@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .spin import spin_operators
-from .ziggurat import KI_DOUBLE, WI_DOUBLE
+from .ziggurat import FI_DOUBLE, KI_DOUBLE, WI_DOUBLE
 
 NORM_TOL = 1e-12       # pure-state and family-coefficient normalization
 HERMITICITY_TOL = 1e-10
@@ -549,13 +549,15 @@ def family_state(spec: Family) -> DensityMatrix:
 # key of a batch as array operations (``_philox_raw``), a tile of keys at a
 # time, word-major: one contiguous row per word, holding that word of every
 # key.  Each word depends only on its key and counter, so neither the batch
-# nor the tile changes a bit.  The uniform sampler scales them;
-# the Gaussian sampler applies numpy's ziggurat fast path to them
-# (``_ziggurat_fast_path``), and only a sample with a draw that path rejects
-# (about one in four) has its generator assigned the state
-# Philox(key=(seed, i)) starts in, through numpy's documented ``state``
-# setter, and lets numpy draw it again.  Seeds and indices outside [0, 2**64)
-# are rejected rather than wrapped, so no two seeds name the same stream.
+# nor the tile changes a bit.  The uniform sampler scales them.  The
+# Gaussian sampler runs numpy's ziggurat on them (``_ziggurat``): its fast
+# path on every word (``_ziggurat_fast_path``), then, for the samples with a
+# word that path rejects (about one in four), the wedge and tail draws and
+# every later draw they shift, on all such samples at once, with further
+# blocks of their words from the same ``_philox_raw``
+# (``_ziggurat_slow_path``).  No numpy generator is built.  Seeds and
+# indices outside [0, 2**64) are rejected rather than wrapped, so no two
+# seeds name the same stream.
 #
 # The draws stay in word-major rows: ``_normalize`` divides them by each
 # sample's norm in place, with the bits of numpy's complex division, and a
@@ -586,8 +588,17 @@ _SHIFT_DOUBLE = np.uint64(11)  # random() keeps the top 53 bits of a word
 # taken on the fast path, and the scale that turns it into a draw
 _ZIGGURAT_KI = np.array(KI_DOUBLE, dtype=np.uint64)
 _ZIGGURAT_WI = np.array(WI_DOUBLE, dtype=np.float64)
+# the wedge test's density at each layer's edge, and numpy's tail constants
+# ziggurat_nor_r (the base layer's outer edge) and ziggurat_nor_inv_r
+_ZIGGURAT_FI = np.array(FI_DOUBLE, dtype=np.float64)
+_ZIGGURAT_R = 3.6541528853610087963519472518
+_ZIGGURAT_INV_R = 0.27366123732975827203338247596
 _LOW_BYTE = np.uint64(0xFF)
 _SHIFT_BYTE = np.uint64(8)
+_SHIFT_RABS = np.uint64(9)
+_SIGN_WORD = np.uint64(0x100)      # a raw word's sign bit
+_SHIFT_SIGN = np.uint64(63)        # a float64's sign bit
+_SIGN_TO_FLOAT = _SHIFT_SIGN - _SHIFT_BYTE
 _ONE = np.uint64(1)
 _MANTISSA = np.uint64(2 ** 52 - 1)
 
@@ -634,10 +645,10 @@ def _mulhilo(lanes: slice, x, hi, lo, t, u) -> None:
     np.multiply(x, _PHILOX_M[lanes], out=lo)
 
 
-def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
-    """(k, count) uint64 array whose column i is the first k words of
-    ``np.random.Philox(key=(seed, start + i)).random_raw()``: row j holds
-    word j of every key, contiguously.
+def _philox_raw(seed: int, keys: np.ndarray, k: int, block: int = 0) -> np.ndarray:
+    """(k, count) uint64 array whose column i is words 4 block .. 4 block +
+    k - 1 of ``np.random.Philox(key=(seed, keys[i])).random_raw()``, keys a
+    (count,) uint64 array: row j holds that word of every key, contiguously.
 
     numpy increments the counter before each block of four words, so block
     b of a key is Philox-4x64-10 of counter (b + 1, 0, 0, 0).  The rounds
@@ -651,27 +662,28 @@ def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
     are computed once, per block.
     """
     blocks = -(-k // 4)
+    count = len(keys)
     out = np.empty((blocks, 4, count), dtype=np.uint64)
     tile = max(1, min(_PHILOX_TILE, count))
     k0 = np.uint64(seed)
     # round 0 on counter (b + 1, 0, 0, 0) leaves x0 = k0, x1 = 0, x2 = hi ^ k1
     # and x3 = lo, hi and lo from x0's product; round 1 then multiplies k0
     first = np.empty((4, 1, blocks, 1), dtype=np.uint64)    # hi, lo and scratch
-    _mulhilo(slice(0, 1), np.arange(1, blocks + 1, dtype=np.uint64).reshape(1, blocks, 1), *first)
+    counters = np.arange(block + 1, block + blocks + 1, dtype=np.uint64)
+    _mulhilo(slice(0, 1), counters.reshape(1, blocks, 1), *first)
     ctr_hi, ctr_lo = first[:2, 0]            # (blocks, 1)
     second = np.empty((4, 1, 1, 1), dtype=np.uint64)
     _mulhilo(slice(0, 1), np.full((1, 1, 1), k0), *second)
     key_hi, key_lo = second[:2, 0]           # (1, 1)
     mixed = ctr_lo ^ key_hi                  # x2 after round 1, before the key
-    keys = np.empty((2, 1, tile), dtype=np.uint64)
-    ramp = np.arange(tile, dtype=np.uint64)
+    key_words = np.empty((2, 1, tile), dtype=np.uint64)
     buffers = np.empty((6, 2, blocks, tile), dtype=np.uint64)
     for t0 in range(0, count, tile):
         n = min(tile, count - t0)
         x, y, hi, lo, t, u = buffers[..., :n]   # (x0, x2) and (x1, x3)
-        key = keys[..., :n]
+        key = key_words[..., :n]
         key[0] = k0
-        np.add(ramp[:n], np.uint64(start + t0), out=key[1, 0])
+        key[1, 0] = keys[t0:t0 + n]
         np.bitwise_xor(ctr_hi, key[1], out=x[1])          # x2 after round 0
         np.add(key, _PHILOX_BUMP, out=key)
         _mulhilo(slice(1, 2), x[1:], hi[1:], lo[1:], t[1:], u[1:])
@@ -691,35 +703,154 @@ def _philox_raw(seed: int, start: int, count: int, k: int) -> np.ndarray:
     return out.reshape(4 * blocks, count)[:k]
 
 
-def _ziggurat_fast_path(seed: int, start: int, count: int, k: int) -> tuple:
-    """(x, slow) for the first k ``standard_normal`` draws of each key
-    (seed, start + i), i < count.
+def _ziggurat(seed: int, keys: np.ndarray, k: int) -> tuple:
+    """(x, read): column i of the (k, count) float array x is the first k
+    ``standard_normal`` draws of key (seed, keys[i]) bit for bit, and
+    read[i] the number of raw words numpy reads for them."""
+    # whole blocks: the words past k start the slow path's supply
+    x, slow, words = _ziggurat_fast_path(_philox_raw(seed, keys, 4 * -(-k // 4)), k)
+    read = np.full(len(keys), k)
+    if slow.size:
+        x[:, slow], read[slow] = _ziggurat_slow_path(seed, keys[slow], words, k)
+    return x, read
+
+
+def _ziggurat_fast_path(words: np.ndarray, k: int) -> tuple:
+    """(x, slow, raw) for the (W, count) raw words of count keys, W >= k.
 
     numpy's ziggurat turns raw word r into a draw on its fast path: layer
-    ``idx = r & 0xff``, then with ``r >>= 8`` the sign bit ``r & 1`` and the
-    magnitude ``rabs = (r >> 1) & (2**52 - 1)``; it takes ``±rabs *
-    wi[idx]`` iff ``rabs < ki[idx]`` and otherwise reads further words.  So
-    column i of the (k, count) float array x is that key's draws bit for
-    bit unless i is in ``slow``, the columns (Python ints) with a word the
-    fast path rejects.  The words are reworked in place, and one scratch
-    array holds each table lookup in turn and then x, so the peak stays
-    near two (k, count) arrays.
+    ``idx = r & 0xff``, sign bit ``(r >> 8) & 1`` and magnitude ``rabs =
+    (r >> 9) & (2**52 - 1)``; it takes ``±rabs * wi[idx]`` iff ``rabs <
+    ki[idx]`` and otherwise reads further words.  So column i of the (k,
+    count) float array x is that key's first k draws bit for bit unless i
+    is in ``slow``, the columns with a word among the first k that the fast
+    path rejects; ``raw`` is those keys' W raw words, (len(slow), W).  x
+    takes the place of the first k words, and one scratch array holds the
+    magnitudes, so the peak stays near two (k, count) arrays.
     """
-    r = _philox_raw(seed, start, count, k)
+    r = words[:k]
     scratch = np.empty_like(r)
     idx = np.bitwise_and(r, _LOW_BYTE, out=scratch).astype(np.uint8)
-    r >>= _SHIFT_BYTE
-    negative = np.bitwise_and(r, _ONE, out=scratch).astype(bool)
-    r >>= _ONE
-    r &= _MANTISSA
-    # mode="clip" (a no-op on a uint8 index into 256 entries) writes out=
-    # directly, where the default mode would go through a buffer
-    ki = np.take(_ZIGGURAT_KI, idx, out=scratch, mode="clip")
-    slow = np.flatnonzero((r >= ki).any(axis=0)).tolist()
-    x = np.take(_ZIGGURAT_WI, idx, out=scratch.view(np.float64), mode="clip")
-    x *= r
-    np.negative(x, out=x, where=negative)
-    return x, slow
+    negative = np.bitwise_and(r, _SIGN_WORD, out=scratch).astype(bool)
+    rabs = np.right_shift(r, _SHIFT_RABS, out=scratch)
+    rabs &= _MANTISSA
+    # the rejected words a row at a time, whose table lookup then stays
+    # small: the raw words must last until the slow columns are known
+    rejected = np.zeros(r.shape[1], dtype=bool)
+    ki = np.empty(r.shape[1], dtype=np.uint64)
+    for rabs_row, idx_row in zip(rabs, idx):
+        # mode="clip" (a no-op on a uint8 index into 256 entries) writes
+        # out= directly, where the default mode would go through a buffer
+        np.take(_ZIGGURAT_KI, idx_row, out=ki, mode="clip")
+        rejected |= rabs_row >= ki
+    slow = np.flatnonzero(rejected)
+    raw = words.T[slow]
+    x = np.take(_ZIGGURAT_WI, idx, out=r.view(np.float64), mode="clip")
+    x *= rabs
+    # every x is +0 or positive, so setting its sign bit negates it, -0.0
+    # included; np.negative(..., where=) took ten times as long
+    np.copyto(rabs, negative)
+    rabs <<= _SHIFT_SIGN
+    np.bitwise_or(x.view(np.uint64), rabs, out=x.view(np.uint64))
+    return x, slow, raw
+
+
+def _ziggurat_slow_path(seed: int, keys: np.ndarray, words: np.ndarray, k: int) -> tuple:
+    """(x, read) as ``_ziggurat`` returns them, for keys the fast path
+    cannot finish, from the (count, W) raw words ``words`` each key starts
+    with, W >= k in whole blocks: numpy's whole ziggurat, on every key at
+    once.
+
+    At a word the fast path rejects, layer ``idx >= 1`` reads the next word
+    as a uniform u and keeps x iff ``(fi[idx - 1] - fi[idx]) u + fi[idx] <
+    exp(-x**2 / 2)``, else it starts the draw again from the word after u;
+    layer 0 reads pairs of uniforms until ``yy + yy > xx**2``, with ``xx =
+    -log1p(-u1) / r`` and ``yy = -log1p(-u2)``, and draws ``±(r + xx)``, its
+    sign bit ``(rabs >> 8) & 1``.  Each rejected word's outcome depends on
+    the words after it alone, so all are decided at once; the exp and log1p
+    of those few values go through ``math``, which calls the platform's
+    libm as numpy's C code does (``np.exp`` may run a SIMD loop with other
+    bits).  Then each key's cursor jumps from one rejected word to the
+    next it reaches.  Every word it passes on the way is a fast-path draw,
+    so draw j of a key is the fast value of its word j + the words its
+    earlier draws read beyond one each (``extra``); only tail draws are
+    written apart.  When no key can go on without words beyond those
+    drawn, every unfinished key gets one more block, until all are done.
+    """
+    count = len(keys)
+    cursor = np.zeros(count, dtype=np.intp)          # next word of each key
+    extra = np.zeros((count, k + 1), dtype=np.intp)  # words read beyond one, by draw
+    tails = []
+    active = np.arange(count)
+    while active.size:
+        w = words[active]
+        width, length = w.shape
+        rabs = (w >> _SHIFT_RABS) & _MANTISSA
+        idx = (w & _LOW_BYTE).astype(np.intp)
+        # the rejected words key by key, then word by word, each key's list
+        # ended by an entry at word `length`, past its last word; for each,
+        # the words its draw reads (0: more than are here), whether it
+        # draws, and a tail draw's value
+        key, q = np.nonzero(np.hstack([rabs >= _ZIGGURAT_KI[idx], np.ones((width, 1), dtype=bool)]))
+        reads = np.zeros(q.size, dtype=np.intp)
+        drew = np.zeros(q.size, dtype=np.intp)
+        tail = np.zeros(q.size, dtype=bool)
+        tail_value = {}
+        layer = idx[key, np.minimum(q, length - 1)]     # an end entry's is not read
+        wedge = np.flatnonzero((layer > 0) & (q + 1 < length))
+        kw, qw, i = key[wedge], q[wedge], layer[wedge]
+        x = rabs[kw, qw] * _ZIGGURAT_WI[i]
+        u = (w[kw, qw + 1] >> _SHIFT_DOUBLE) * 2.0 ** -53
+        height = (_ZIGGURAT_FI[i - 1] - _ZIGGURAT_FI[i]) * u + _ZIGGURAT_FI[i]
+        density = np.array(list(map(math.exp, (-0.5 * x * x).tolist())))
+        reads[wedge] = 2
+        drew[wedge] = height < density
+        for e in np.flatnonzero((layer == 0) & (q < length)).tolist():
+            row, j = w[key[e]], q[e]
+            for t in range(j + 1, length - 1, 2):
+                xx = -_ZIGGURAT_INV_R * math.log1p(-float(row[t] >> _SHIFT_DOUBLE) * 2.0 ** -53)
+                yy = -math.log1p(-float(row[t + 1] >> _SHIFT_DOUBLE) * 2.0 ** -53)
+                if yy + yy > xx * xx:
+                    reads[e], drew[e], tail[e] = t + 2 - j, 1, True
+                    sign = rabs[key[e], j] >> _SHIFT_BYTE & _ONE
+                    tail_value[e] = -(_ZIGGURAT_R + xx) if sign else _ZIGGURAT_R + xx
+                    break
+        beyond = reads - drew           # words read beyond one a draw
+        # the entry each key's cursor reaches first, and the one it reaches
+        # after each entry's draw
+        spot = key * (length + 1) + q
+        at = np.searchsorted(spot, np.arange(width) * (length + 1) + cursor[active])
+        after = np.searchsorted(spot, spot + reads)
+        # the walk: a key that has read off words beyond one a draw takes
+        # its next rejected word p as draw p - off if p < k + off; it is
+        # done if p >= k + off, and needs more words if p, or its draw,
+        # lies past the last word here
+        live, off, stuck = active, extra[active].sum(axis=1), []
+        while live.size:
+            p = q[at]
+            go = (p < np.minimum(off + k, length)) & (reads[at] > 0)
+            short = ~go & (p < off + k)
+            stuck.append(live[short])
+            cursor[live[short]] = p[short]
+            live, at, p, off = live[go], at[go], p[go], off[go]
+            g, n = drew[at], beyond[at]
+            j = p - off
+            extra[live, j + g] += n
+            for e in np.flatnonzero(tail[at]).tolist():
+                tails.append((live[e], j[e], tail_value[at[e]]))
+            off += n
+            at = after[at]
+        active = np.concatenate(stuck)
+        if active.size:
+            more = np.zeros((count, 4), dtype=np.uint64)
+            more[active] = _philox_raw(seed, keys[active], 4, words.shape[1] // 4).T
+            words = np.concatenate([words, more], axis=1)
+    w = np.take_along_axis(words, np.arange(k) + np.cumsum(extra[:, :k], axis=1), axis=1)
+    x = ((w >> _SHIFT_RABS) & _MANTISSA) * _ZIGGURAT_WI[(w & _LOW_BYTE).astype(np.intp)]
+    np.bitwise_or(x.view(np.uint64), (w & _SIGN_WORD) << _SIGN_TO_FLOAT, out=x.view(np.uint64))
+    for row, j, value in tails:
+        x[row, j] = value
+    return x.T, k + extra.sum(axis=1)
 
 
 def amplitude_rows(planes) -> np.ndarray:
@@ -762,6 +893,11 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     if count > 0:
         check_key("index", start + count - 1)
     n = dims[0] * dims[1]
+    # the keys' second words, built in place: a second 64 kB array here made
+    # uniform batches ~5% slower across processes (heap placement), not
+    # within one
+    keys = np.arange(count, dtype=np.uint64)
+    keys += np.uint64(start)
     # uniform: real and imaginary parts uniform on [0, 1); all amplitudes lie
     # in the closed first quadrant before (and after) normalization.  haar:
     # independent standard complex Gaussians; invariant under rotations,
@@ -769,26 +905,10 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     # of a sample is part p of its amplitude x
     if sampler == "uniform":
         # Generator.random(): the top 53 bits of each raw word, times 2**-53
-        draws = (_philox_raw(seed, start, count, 2 * n) >> _SHIFT_DOUBLE) * 2.0 ** -53
+        draws = (_philox_raw(seed, keys, 2 * n) >> _SHIFT_DOUBLE) * 2.0 ** -53
     else:
-        # Generator.standard_normal(): the ziggurat's fast path on every raw
-        # word, then numpy itself redraws each sample that path cannot finish
-        draws, slow = _ziggurat_fast_path(seed, start, count, 2 * n)
-        block = np.empty((len(slow), 2 * n))
-        bitgen = np.random.Philox(key=[0, 0])
-        rng = np.random.Generator(bitgen)
-        # the state Philox(key=(seed, start + i)) starts in; the setter copies
-        # every word, so one dict serves every sample once key[1] is set
-        key = np.array([seed, 0], dtype=np.uint64)
-        state = {"bit_generator": "Philox",
-                 "state": {"key": key, "counter": np.zeros(4, dtype=np.uint64)},
-                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        for row, i in zip(block, slow):
-            key[1] = start + i
-            bitgen.state = state
-            rng.standard_normal(out=row)
-        draws[:, slow] = block.T
+        # Generator.standard_normal(): numpy's ziggurat, fast path and all
+        draws = _ziggurat(seed, keys, 2 * n)[0]
     return _normalize(draws.reshape(n, 2, count))
 
 

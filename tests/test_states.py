@@ -17,8 +17,7 @@ from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
                       sample_pure_state, state_from_json, swap_operator)
 from spinchsh.states import (amplitude_rows, keyed_generator, norm_residuals,
                              physicality_residuals, sample_amplitude_batch)
-from spinchsh.states import (_PHILOX_TILE, _from_pairs, _normalize, _philox_raw,
-                             _ziggurat_fast_path)
+from spinchsh.states import _PHILOX_TILE, _from_pairs, _normalize, _philox_raw, _ziggurat
 from spinchsh import ziggurat
 
 
@@ -336,6 +335,11 @@ class TestSampling:
             sample_pure_state(dims, sampler, seed=0)
 
 
+def key_range(start, count):
+    """The second key words start .. start + count - 1, as the sampler makes them."""
+    return np.arange(count, dtype=np.uint64) + np.uint64(start)
+
+
 def keyed_uniform_rows(dims, seed, start, count):
     """Reference rows: numpy's own keyed Philox draws, normalized as the sampler does."""
     n = dims[0] * dims[1]
@@ -357,7 +361,7 @@ class TestVectorizedPhilox:
         (2 ** 64 - 0x9E3779B97F4A7C15, 2 ** 64 - 0xBB67AE8584CAA73B)])
     @pytest.mark.parametrize("k", [1, 3, 4, 6, 18, 21])
     def test_raw_words_match_numpy(self, seed, start, k):
-        words = _philox_raw(seed, start, 4, k)
+        words = _philox_raw(seed, key_range(start, 4), k)
         assert words.dtype == np.uint64 and words.shape == (k, 4)
         for i, row in enumerate(words.T):
             ref = np.random.Philox(key=np.array([seed, start + i], np.uint64)).random_raw(k)
@@ -371,7 +375,7 @@ class TestVectorizedPhilox:
     @pytest.mark.parametrize("k", [1, 3, 4, 18, 21])
     def test_tile_edges_match_numpy(self, seed, last, count, k):
         start = last - count + 1
-        words = _philox_raw(seed, start, count, k)
+        words = _philox_raw(seed, key_range(start, count), k)
         assert words.dtype == np.uint64 and words.shape == (k, count)
         assert all(row.flags.c_contiguous for row in words)
         # both ends of the batch and of each tile, and a stride through it
@@ -379,6 +383,18 @@ class TestVectorizedPhilox:
         for i in sorted((edges | set(range(0, count, 97)) | {count - 1}) & set(range(count))):
             ref = np.random.Philox(key=np.array([seed, start + i], np.uint64)).random_raw(k)
             assert np.array_equal(words[:, i], ref), i
+
+    # the blocks the haar sampler's slow path asks for: any keys, in any
+    # order, from any block on
+    @pytest.mark.parametrize("block, k", [(0, 5), (1, 4), (5, 4), (6, 9)])
+    def test_given_blocks_of_given_keys_match_numpy(self, block, k):
+        seed = 2 ** 63 + 5
+        keys = np.array([2 ** 64 - 1, 17, 0, 2 ** 63 + 9, 17], dtype=np.uint64)
+        words = _philox_raw(seed, keys, k, block)
+        assert words.shape == (k, len(keys))
+        for key, column in zip(keys, words.T):
+            ref = np.random.Philox(key=np.array([seed, key], np.uint64)).random_raw(4 * block + k)
+            assert np.array_equal(column, ref[4 * block:])
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4), (5, 5)])
     @pytest.mark.parametrize("seed, start", [(0, 0), (2 ** 63 + 5, 2 ** 64 - 3)])
@@ -480,7 +496,7 @@ def normalized_rows(draws):
 def first_rejections(seed, start, count, k=18):
     """(row, position, word) of the first fast-path rejection in each row
     with one, from the committed tables, for the keys (seed, start + row)."""
-    words = _philox_raw(seed, start, count, k).T
+    words = _philox_raw(seed, key_range(start, count), k).T
     rabs = (words >> np.uint64(9)) & np.uint64(2 ** 52 - 1)
     rejected = rabs >= np.array(ziggurat.KI_DOUBLE, dtype=np.uint64)[words & np.uint64(0xFF)]
     first = rejected.argmax(axis=1)
@@ -496,9 +512,10 @@ def load_extract_script():
     return module
 
 
-class TestZigguratFastPath:
-    """The haar sampler's vectorized ziggurat fast path against numpy's
-    standard_normal, and the committed tables against numpy's own."""
+class TestZiggurat:
+    """The haar sampler's array ziggurat against numpy's standard_normal,
+    draw for draw and word for word, and the committed tables against
+    numpy's own."""
 
     K = 18  # draws per (3, 3) sample
 
@@ -506,64 +523,98 @@ class TestZigguratFastPath:
         (0, 0), (2 ** 63 + 5, 2 ** 64 - 8192), (2 ** 64 - 1, 2 ** 64 - 8192)])
     def test_full_chunk_matches_numpy(self, seed, start):
         count = 8192
-        draws, slow = _ziggurat_fast_path(seed, start, count, self.K)
-        assert draws.shape == (self.K, count)
-        assert all(type(i) is int for i in slow)
-        batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", seed, start, count))
+        draws, read = _ziggurat(seed, key_range(start, count), self.K)
+        assert draws.shape == (self.K, count) and read.shape == (count,)
         reference = np.empty((count, self.K))
-        slow_set = set(slow)
+        numpy_read = np.empty(count, dtype=int)
         for i in range(count):
-            reference[i], read = keyed_normal_draws(seed, start + i, self.K)
-            # a row is slow exactly when numpy read more than one word per draw
-            assert (i in slow_set) == (read > self.K)
-        fast = np.setdiff1d(np.arange(count), slow)
-        assert np.array_equal(draws.T[fast], reference[fast])
+            reference[i], numpy_read[i] = keyed_normal_draws(seed, start + i, self.K)
+        # every draw, the wedge and tail draws and those they shift included,
+        # and the words each key's cursor read
+        assert draws.T.tobytes() == reference.tobytes()
+        assert np.array_equal(read, numpy_read)
+        batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", seed, start, count))
         assert np.array_equal(batch, normalized_rows(reference))
-        # the rows compared above cover every layer and both signs; layer 1
-        # (ki = 0) is never taken on the fast path, every other layer is
-        words = _philox_raw(seed, start, count, self.K).T
+        # the chunk takes every path: 15-35% of its keys read extra words,
+        # some four or more, some draws are in the tail (beyond r, the base
+        # layer's edge), and every layer but 1 (ki = 0) is on the fast path
+        extra = read - self.K
+        assert 0.15 < np.mean(extra > 0) < 0.35 and extra.max() >= 4
+        assert (np.abs(reference) > ziggurat.WI_DOUBLE[255] * 2 ** 52).sum() >= 10
+        words = _philox_raw(seed, key_range(start, count), self.K).T
         assert set((words & np.uint64(0xFF)).ravel().tolist()) == set(range(256))
-        fast_words = words[fast]
+        fast_words = words[extra == 0]
         assert ziggurat.KI_DOUBLE[1] == 0
         assert set((fast_words & np.uint64(0xFF)).ravel().tolist()) == set(range(256)) - {1}
         assert set(((fast_words >> np.uint64(8)) & np.uint64(1)).ravel().tolist()) == {0, 1}
-        assert 0.15 < len(slow) / count < 0.35
 
-    @pytest.mark.parametrize("tail", [False, True])
-    def test_slow_draw_key_pinned_against_numpy(self, tail):
-        # the first key of seed 0 whose first rejected word is in the tail
-        # layer (idx 0), or in another layer and also fails the wedge test:
-        # numpy then reads more than two words for that one draw
-        for i, j, word in first_rejections(0, 0, 4096):
-            if (word & 0xFF == 0) == tail:
-                rng = keyed_generator(0, i)
-                rng.standard_normal(j + 1)
-                if tail or words_read(rng) > j + 2:
-                    break
+    @pytest.mark.parametrize("seed, start, count, k", [
+        (11, 100, 300, 1), (11, 100, 300, 3), (5, 2 ** 64 - 200, 200, 8), (11, 100, 120, 288)])
+    def test_other_draw_counts_match_numpy(self, seed, start, count, k):
+        # k off a block edge, and (12, 12) samples, whose keys take the
+        # slow path through several further blocks
+        draws, read = _ziggurat(seed, key_range(start, count), k)
+        for i in range(count):
+            reference, numpy_read = keyed_normal_draws(seed, start + i, k)
+            assert draws[:, i].tobytes() == reference.tobytes() and read[i] == numpy_read
+
+    @pytest.mark.parametrize("index, what", [
+        (0, "tail"), (0, "failed wedge"), (17403, "most words")])
+    def test_slow_key_pinned_against_numpy(self, index, what):
+        if what != "most words":
+            # the first key of seed 0 whose first rejected word is in the
+            # tail layer (idx 0), or in another layer and fails the wedge
+            # test: numpy then reads more than two words for that one draw
+            for i, j, word in first_rejections(0, 0, 4096):
+                if (word & 0xFF == 0) == (what == "tail"):
+                    rng = keyed_generator(0, i)
+                    rng.standard_normal(j + 1)
+                    if what == "tail" or words_read(rng) > j + 2:
+                        index = i
+                        break
+            else:
+                pytest.fail("no such key among the first 4096")
         else:
-            pytest.fail("no such key among the first 4096")
-        reference, read = keyed_normal_draws(0, i, self.K)
-        assert read > self.K
-        assert _ziggurat_fast_path(0, i, 1, self.K)[1] == [0]
+            # of seed 0's first 50,000 keys the first to read the most words:
+            # 8 beyond its 18 draws, two blocks past the fast path's five
+            read = _ziggurat(0, key_range(0, 50_000), self.K)[1]
+            assert read.argmax() == index and read[index] == self.K + 8
+        reference, numpy_read = keyed_normal_draws(0, index, self.K)
+        assert numpy_read > self.K
+        draws, read = _ziggurat(0, key_range(index, 1), self.K)
+        assert draws[:, 0].tobytes() == reference.tobytes() and read[0] == numpy_read
         # the key alone and inside a batch
         expected = normalized_rows(reference[None, :])[0]
-        assert np.array_equal(sample_pure_state((3, 3), "haar", 0, i).amplitudes, expected)
-        start = max(i - 1, 0)
+        assert np.array_equal(sample_pure_state((3, 3), "haar", 0, index).amplitudes, expected)
+        start = max(index - 1, 0)
         batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", 0, start, 3))
-        assert np.array_equal(batch[i - start], expected)
+        assert np.array_equal(batch[index - start], expected)
+
+    def test_no_numpy_generator_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy generator was built")
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        planes = sample_amplitude_batch((3, 3), "haar", 7, 40 * 8192, 8192)
+        assert planes.shape == (2, 9, 8192)
+        assert sample_pure_state((3, 3), "haar", 0, 17403).amplitudes.shape == (9,)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_small_batch_shapes(self, count):
-        draws, slow = _ziggurat_fast_path(2 ** 63 + 5, 2 ** 64 - 1 - count, count, self.K)
+        draws, read = _ziggurat(2 ** 63 + 5, key_range(2 ** 64 - 1 - count, count), self.K)
         assert draws.shape == (self.K, count) and draws.dtype == np.float64
-        assert set(slow) <= set(range(count))
+        assert read.shape == (count,) and np.all(read >= self.K)
         assert sample_amplitude_batch((3, 3), "haar", 5, 2 ** 64 - 1 - count, count).shape == (2, 9, count)
 
     def test_tables_match_installed_numpy(self):
         extract = load_extract_script()
         tables = extract.probe_tables()
         assert tables["ki_double"] == ziggurat.KI_DOUBLE
-        assert [v.hex() for v in tables["wi_double"]] == [v.hex() for v in ziggurat.WI_DOUBLE]
+        for name in ("wi_double", "fi_double"):
+            assert [v.hex() for v in tables[name]] == [v.hex() for v in getattr(ziggurat, name.upper())]
+        # the wedge densities fall from exp(0) = 1 at the top
+        assert ziggurat.FI_DOUBLE[0] == 1.0 and len(ziggurat.FI_DOUBLE) == 256
+        assert all(a > b for a, b in zip(ziggurat.FI_DOUBLE, ziggurat.FI_DOUBLE[1:]))
         # the committed module is exactly what the script writes
         assert extract.render(tables) == Path(ziggurat.__file__).read_text()
 
@@ -582,6 +633,9 @@ class TestZigguratFastPath:
         finally:
             recording[0] = False
         assert first == extract.OUT.read_bytes() == Path(ziggurat.__file__).read_bytes()
+        written = {}
+        exec(first, written)
+        assert all(len(written[name]) == 256 for name in ("KI_DOUBLE", "WI_DOUBLE", "FI_DOUBLE"))
         paths = [Path(os.fsdecode(p)).resolve() for p in opened if not isinstance(p, int)]
         assert paths and not [p for p in paths if p.is_relative_to(numpy_dir)]
 
