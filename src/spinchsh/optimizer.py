@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
     if not np.all(np.isfinite(m)):
         raise ValueError("correlation matrix must be finite")
     mt = m.T
-    best = None
+    best = None   # (history, iterations, vectors) of the first best restart
     any_converged = False
     for restart in range(cfg.restarts):
         rng = keyed_generator(cfg.seed, restart)
@@ -123,16 +123,16 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
                 break
             prev = obj
         any_converged = any_converged or converged
-        candidate = OptimizationResult(
-            setting=MeasurementSetting(a1, a2, b1, b2),
-            value=history[-1],
-            iterations=iterations,
-            converged=converged,
-            history=tuple(history),
-        )
-        if best is None or candidate.value > best.value:
-            best = candidate
-    return replace(best, converged=any_converged)
+        if best is None or history[-1] > best[0][-1]:
+            best = history, iterations, (a1, a2, b1, b2)
+    history, iterations, vectors = best
+    return OptimizationResult(
+        setting=MeasurementSetting(*vectors),
+        value=history[-1],
+        iterations=iterations,
+        converged=any_converged,
+        history=tuple(history),
+    )
 
 
 def settings_from_svd(Z) -> MeasurementSetting:

@@ -18,9 +18,11 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import os
 from dataclasses import dataclass
 from itertools import product
 from multiprocessing import Pool
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -235,47 +237,28 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     return parts
 
 
-class _Entry:
-    """One entry of a coefficient tensor, as correlation_from_coefficients
-    reads it: rows ``real`` and ``imag``.  ``imag`` is the row ``own_imag``
-    of a computed entry; for the conjugate of one (``conjugate=True``) it
-    is that row's (-im) + 0.0, the bits einsum gives (fl(u - v) = -fl(v -
-    u), and + 0.0 turns -0 into +0), and for a diagonal entry
-    (``own_imag=None``) it is +0.0.  Those two are formed only when read,
-    and the kernel reads neither."""
-
-    __slots__ = ("real", "own_imag", "conjugate")
-
-    def __init__(self, real, own_imag, conjugate=False):
-        self.real, self.own_imag, self.conjugate = real, own_imag, conjugate
-
-    @property
-    def imag(self) -> np.ndarray:
-        if self.own_imag is None:
-            return np.zeros_like(self.real)
-        if self.conjugate:
-            return np.negative(self.own_imag) + 0.0
-        return self.own_imag
-
-
 class _PureBatch:
     """The (b, 3, 3, 3, 3) coefficient tensor of a batch of pure states, as
     far as correlation_from_coefficients reads it, over the rows of
-    ``_amplitude_parts``: ``[..., m, p, k, q]`` is the ``_Entry`` of a
-    computed product, or of the conjugate (p, m, q, k) of one, whose real
-    part is the same row (products commute, and so does +)."""
+    ``_amplitude_parts``: ``[..., m, p, k, q]`` holds the rows ``real`` and,
+    for an entry of PAIRED, ``imag``.  The conjugate (p, m, q, k) of a
+    computed entry has that entry's ``real`` (products commute, and so does
+    +) and no ``imag``, nor has a diagonal entry: the kernel reads neither,
+    and reading one raises AttributeError."""
 
     def __init__(self, parts: np.ndarray):
         self.parts = parts
         self.shape = (parts.shape[1], 3, 3, 3, 3)
         self.nbytes = parts.nbytes
 
-    def __getitem__(self, key) -> _Entry:
+    def __getitem__(self, key) -> SimpleNamespace:
         m, p, k, q = entry = key[1:]
-        conjugate = 3 * m + k > 3 * p + q
-        n = PRODUCT_ROW[(p, m, q, k) if conjugate else entry]
-        own_imag = self.parts[len(PRODUCT_ROW) + n] if n < len(PAIRED) else None
-        return _Entry(self.parts[n], own_imag, conjugate)
+        if entry not in PRODUCT_ROW:   # a partner: its conjugate's real part
+            return SimpleNamespace(real=self.parts[PRODUCT_ROW[(p, m, q, k)]])
+        n = PRODUCT_ROW[entry]
+        if n < len(PAIRED):
+            return SimpleNamespace(real=self.parts[n], imag=self.parts[len(PRODUCT_ROW) + n])
+        return SimpleNamespace(real=self.parts[n])
 
 
 def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:
@@ -332,10 +315,11 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
     tasks = [(cfg, edges, start, min(start + CHUNK, cfg.n_samples))
              for start in range(0, cfg.n_samples, CHUNK)]
-    if cfg.workers == 1 or len(tasks) == 1:
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         parts = [_scan_chunk(t) for t in tasks]
     else:
-        with Pool(processes=min(cfg.workers, len(tasks))) as pool:
+        with Pool(processes=workers) as pool:
             # one chunk per hand-out: no worker idles while another runs a last batch
             parts = pool.map(_scan_chunk, tasks, chunksize=1)
 

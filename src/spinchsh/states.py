@@ -886,8 +886,8 @@ def sample_amplitude_batch(dims, sampler: str, seed: int, start: int, count: int
     dims = _check_dims(dims)
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
-    check_key("seed", seed)
-    check_key("index", start)
+    # plain ints before any arithmetic: numpy integers would wrap past 2**64
+    seed, start, count = check_key("seed", seed), check_key("index", start), operator.index(count)
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     if count > 0:

@@ -76,11 +76,13 @@ class TestRunScan:
         assert solo.min_concurrence == duo.min_concurrence
         assert json.dumps(solo.to_json()) == json.dumps(duo.to_json())
 
-    def test_pool_never_outnumbers_chunks(self, monkeypatch):
-        """A scan starts at most one worker per chunk; the report is unchanged."""
+    @staticmethod
+    def recording_pool(monkeypatch, cpus):
+        """Patch in a Pool that maps in this process, so no worker starts,
+        and a CPU count; returns the list of pool sizes asked for."""
         started = []
 
-        class RecordingPool:  # maps in this process, so no worker starts
+        class RecordingPool:
             def __init__(self, processes):
                 started.append(processes)
 
@@ -95,9 +97,26 @@ class TestRunScan:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(scan, "Pool", RecordingPool)
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+        return started
+
+    def test_pool_never_outnumbers_chunks(self, monkeypatch):
+        """A scan starts at most one worker per chunk; the report is unchanged."""
+        started = self.recording_pool(monkeypatch, cpus=64)
         n = CHUNK + 5  # two chunks
         wide = run_scan(ScanConfig(n_samples=n, seed=5, workers=64))
         assert started == [2]
+        solo = run_scan(ScanConfig(n_samples=n, seed=5, workers=1))
+        assert json.dumps(wide.to_json()) == json.dumps(solo.to_json())
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+    def test_pool_never_outnumbers_cpus(self, cpus, pools, monkeypatch):
+        """A scan starts at most one worker per CPU, and no pool on one CPU
+        or when the count is unknown; the report is unchanged."""
+        started = self.recording_pool(monkeypatch, cpus)
+        n = 4 * CHUNK + 5  # five chunks
+        wide = run_scan(ScanConfig(n_samples=n, seed=5, workers=5000))
+        assert started == pools
         solo = run_scan(ScanConfig(n_samples=n, seed=5, workers=1))
         assert json.dumps(wide.to_json()) == json.dumps(solo.to_json())
 
@@ -392,14 +411,26 @@ class TestKernelMatchesEinsumRoute:
         for got, want in zip(figures, einsum_route(amps)):
             assert_same_bits(got, want)
         # every entry the kernel's batch answers, computed or a partner, in
-        # both parts; PRODUCTS covers each entry correlation_from_coefficients
-        # and the purity read (test_products_are_the_entries_read)
+        # each part it has; PRODUCTS covers each entry
+        # correlation_from_coefficients and the purity read
+        # (test_products_are_the_entries_read)
         a = amps.reshape(-1, 3, 3)
         tensor = np.einsum("bmk,bpq->bmpkq", a, a.conj())
         for entry in scan.PRODUCTS:
             got, want = batch[(..., *entry)], tensor[(..., *entry)]
             assert_same_bits(got.real, want.real)
-            assert_same_bits(got.imag, want.imag)
+            if entry in scan.PAIRED:   # the others have none
+                assert_same_bits(got.imag, want.imag)
+
+    def test_partner_and_diagonal_have_no_imaginary_part(self):
+        """Only an entry of PAIRED has an imaginary row: a formula that read
+        a partner's or a diagonal entry's imaginary part would fail."""
+        batch = scan._PureBatch(scan._amplitude_parts(planes_of(chunk()[:4])))
+        partners = [(p, m, q, k) for m, p, k, q in scan.PAIRED]
+        assert sorted(partners + scan.PAIRED + scan.DIAGONAL) == sorted(scan.PRODUCTS)
+        for entry in partners + scan.DIAGONAL:
+            with pytest.raises(AttributeError):
+                batch[(..., *entry)].imag
 
     @pytest.mark.parametrize("seed, start", [(0, 0), (11, 77 * CHUNK), (2 ** 63 + 5, 2 ** 64 - CHUNK)])
     @pytest.mark.parametrize("sampler", ["uniform", "haar"])
@@ -481,7 +512,7 @@ class TestKernelMatchesEinsumRoute:
         # the computed part each read part comes from.  A diagonal entry's
         # imaginary part is +0.0 and comes from none.  No imaginary part
         # correlation_from_coefficients reads is a partner's, which the batch
-        # would negate; the purity squares each imaginary part of the reduced
+        # does not have; the purity squares each imaginary part of the reduced
         # state, so a partner's comes from its representative's
         sources = {("real", representative(entry)) for entry, part in read if part == "real"}
         for entry, part in read:

@@ -664,6 +664,11 @@ class TestKeyDomain:
             sample_amplitude_batch((3, 3), "uniform", 0, 2 ** 64 - 2, 3)
         with pytest.raises(ValueError, match="index"):
             sample_amplitude_batch((3, 3), "uniform", 0, -1, 3)
+        # numpy integers must not wrap the last index past 2**64 to 0
+        with pytest.raises(ValueError, match="index"):
+            sample_amplitude_batch((3, 3), "uniform", 0, 2 ** 64 - 1, np.uint64(2))
+        with pytest.raises(ValueError, match="index"):
+            sample_amplitude_batch((3, 3), "uniform", 0, np.uint64(2 ** 64 - 1), 2)
 
     @pytest.mark.parametrize("sampler", ["uniform", "haar"])
     def test_negative_count_rejected(self, sampler):
