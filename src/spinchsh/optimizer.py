@@ -36,7 +36,7 @@ class OptimizerConfig:
             raise ValueError("convergence_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        check_key("seed", self.seed)
+        object.__setattr__(self, "seed", check_key("seed", self.seed))
 
 
 @dataclass(frozen=True)

@@ -552,12 +552,11 @@ def family_state(spec: Family) -> DensityMatrix:
 # nor the tile changes a bit.  The uniform sampler scales them.  The
 # Gaussian sampler runs numpy's ziggurat on them (``_ziggurat``): its fast
 # path on every word (``_ziggurat_fast_path``), then, for the samples with a
-# word that path rejects (about one in four), the wedge and tail draws and
-# every later draw they shift, on all such samples at once, with further
-# blocks of their words from the same ``_philox_raw``
-# (``_ziggurat_slow_path``).  No numpy generator is built.  Seeds and
-# indices outside [0, 2**64) are rejected rather than wrapped, so no two
-# seeds name the same stream.
+# word that path rejects (about one in four), numpy's own draw loop from
+# that word on, one word of every such sample a step, with further blocks of
+# their words from the same ``_philox_raw`` (``_ziggurat_slow_path``).  No
+# numpy generator is built.  Seeds and indices outside [0, 2**64) are
+# rejected rather than wrapped, so no two seeds name the same stream.
 #
 # The draws stay in word-major rows: ``_normalize`` divides them by each
 # sample's norm in place, with the bits of numpy's complex division, and a
@@ -711,7 +710,7 @@ def _ziggurat(seed: int, keys: np.ndarray, k: int) -> tuple:
     x, slow, words = _ziggurat_fast_path(_philox_raw(seed, keys, 4 * -(-k // 4)), k)
     read = np.full(len(keys), k)
     if slow.size:
-        x[:, slow], read[slow] = _ziggurat_slow_path(seed, keys[slow], words, k)
+        x[:, slow], read[slow] = _ziggurat_slow_path(seed, keys[slow], words, x[:, slow], k)
     return x, read
 
 
@@ -755,102 +754,78 @@ def _ziggurat_fast_path(words: np.ndarray, k: int) -> tuple:
     return x, slow, raw
 
 
-def _ziggurat_slow_path(seed: int, keys: np.ndarray, words: np.ndarray, k: int) -> tuple:
+def _ziggurat_slow_path(seed: int, keys: np.ndarray, words: np.ndarray, x: np.ndarray, k: int) -> tuple:
     """(x, read) as ``_ziggurat`` returns them, for keys the fast path
-    cannot finish, from the (count, W) raw words ``words`` each key starts
-    with, W >= k in whole blocks: numpy's whole ziggurat, on every key at
-    once.
+    cannot finish: ``words`` holds each key's (count, W) raw words, W >= k
+    in whole blocks, and ``x`` its (k, count) fast-path draws, right up to
+    its first rejected word.
 
-    At a word the fast path rejects, layer ``idx >= 1`` reads the next word
-    as a uniform u and keeps x iff ``(fi[idx - 1] - fi[idx]) u + fi[idx] <
-    exp(-x**2 / 2)``, else it starts the draw again from the word after u;
-    layer 0 reads pairs of uniforms until ``yy + yy > xx**2``, with ``xx =
-    -log1p(-u1) / r`` and ``yy = -log1p(-u2)``, and draws ``±(r + xx)``, its
-    sign bit ``(rabs >> 8) & 1``.  Each rejected word's outcome depends on
-    the words after it alone, so all are decided at once; the exp and log1p
-    of those few values go through ``math``, which calls the platform's
-    libm as numpy's C code does (``np.exp`` may run a SIMD loop with other
-    bits).  Then each key's cursor jumps from one rejected word to the
-    next it reaches.  Every word it passes on the way is a fast-path draw,
-    so draw j of a key is the fast value of its word j + the words its
-    earlier draws read beyond one each (``extra``); only tail draws are
-    written apart.  When no key can go on without words beyond those
-    drawn, every unfinished key gets one more block, until all are done.
+    From that word on, numpy's ``random_standard_normal`` loop runs on
+    every unfinished key at once, a step a draw attempt: each step reads
+    the word at every such key's cursor.  A word the fast path takes is a
+    draw.  At a rejected word of layer ``idx >= 1`` numpy reads the next
+    word as a uniform u and keeps x iff ``(fi[idx - 1] - fi[idx]) u +
+    fi[idx] < exp(-x**2 / 2)``; at one of layer 0 it reads pairs of
+    uniforms until ``yy + yy > xx**2``, with ``xx = -log1p(-u1) / r`` and
+    ``yy = -log1p(-u2)``, and draws ``±(r + xx)``, its sign bit ``(rabs >>
+    8) & 1``.  A failed wedge test leaves the draw to the next step, at
+    the word after u.  The exp and log1p of those few values go through
+    ``math``, which calls the platform's libm as numpy's C code does
+    (``np.exp`` may run a SIMD loop with other bits).  When a key needs a
+    word past those here, every unfinished key gets its next block from
+    one ``_philox_raw`` call.  A key's cursor, once its k-th draw lands,
+    is the number of words it read.
     """
     count = len(keys)
-    cursor = np.zeros(count, dtype=np.intp)          # next word of each key
-    extra = np.zeros((count, k + 1), dtype=np.intp)  # words read beyond one, by draw
-    tails = []
-    active = np.arange(count)
-    while active.size:
-        w = words[active]
-        width, length = w.shape
-        rabs = (w >> _SHIFT_RABS) & _MANTISSA
-        idx = (w & _LOW_BYTE).astype(np.intp)
-        # the rejected words key by key, then word by word, each key's list
-        # ended by an entry at word `length`, past its last word; for each,
-        # the words its draw reads (0: more than are here), whether it
-        # draws, and a tail draw's value
-        key, q = np.nonzero(np.hstack([rabs >= _ZIGGURAT_KI[idx], np.ones((width, 1), dtype=bool)]))
-        reads = np.zeros(q.size, dtype=np.intp)
-        drew = np.zeros(q.size, dtype=np.intp)
-        tail = np.zeros(q.size, dtype=bool)
-        tail_value = {}
-        layer = idx[key, np.minimum(q, length - 1)]     # an end entry's is not read
-        wedge = np.flatnonzero((layer > 0) & (q + 1 < length))
-        kw, qw, i = key[wedge], q[wedge], layer[wedge]
-        x = rabs[kw, qw] * _ZIGGURAT_WI[i]
-        u = (w[kw, qw + 1] >> _SHIFT_DOUBLE) * 2.0 ** -53
-        height = (_ZIGGURAT_FI[i - 1] - _ZIGGURAT_FI[i]) * u + _ZIGGURAT_FI[i]
-        density = np.array(list(map(math.exp, (-0.5 * x * x).tolist())))
-        reads[wedge] = 2
-        drew[wedge] = height < density
-        for e in np.flatnonzero((layer == 0) & (q < length)).tolist():
-            row, j = w[key[e]], q[e]
-            for t in range(j + 1, length - 1, 2):
-                xx = -_ZIGGURAT_INV_R * math.log1p(-float(row[t] >> _SHIFT_DOUBLE) * 2.0 ** -53)
-                yy = -math.log1p(-float(row[t + 1] >> _SHIFT_DOUBLE) * 2.0 ** -53)
-                if yy + yy > xx * xx:
-                    reads[e], drew[e], tail[e] = t + 2 - j, 1, True
-                    sign = rabs[key[e], j] >> _SHIFT_BYTE & _ONE
-                    tail_value[e] = -(_ZIGGURAT_R + xx) if sign else _ZIGGURAT_R + xx
-                    break
-        beyond = reads - drew           # words read beyond one a draw
-        # the entry each key's cursor reaches first, and the one it reaches
-        # after each entry's draw
-        spot = key * (length + 1) + q
-        at = np.searchsorted(spot, np.arange(width) * (length + 1) + cursor[active])
-        after = np.searchsorted(spot, spot + reads)
-        # the walk: a key that has read off words beyond one a draw takes
-        # its next rejected word p as draw p - off if p < k + off; it is
-        # done if p >= k + off, and needs more words if p, or its draw,
-        # lies past the last word here
-        live, off, stuck = active, extra[active].sum(axis=1), []
-        while live.size:
-            p = q[at]
-            go = (p < np.minimum(off + k, length)) & (reads[at] > 0)
-            short = ~go & (p < off + k)
-            stuck.append(live[short])
-            cursor[live[short]] = p[short]
-            live, at, p, off = live[go], at[go], p[go], off[go]
-            g, n = drew[at], beyond[at]
-            j = p - off
-            extra[live, j + g] += n
-            for e in np.flatnonzero(tail[at]).tolist():
-                tails.append((live[e], j[e], tail_value[at[e]]))
-            off += n
-            at = after[at]
-        active = np.concatenate(stuck)
-        if active.size:
+    r = words[:, :k]
+    # each key's next draw, and the word it reads next: its first rejected word
+    j = np.argmax(((r >> _SHIFT_RABS) & _MANTISSA) >= _ZIGGURAT_KI[(r & _LOW_BYTE).astype(np.intp)], axis=1)
+    cursor = j.copy()
+    todo = np.arange(count)
+
+    def reach(n):  # words holds at least n words of every unfinished key
+        nonlocal words
+        while words.shape[1] < n:
             more = np.zeros((count, 4), dtype=np.uint64)
-            more[active] = _philox_raw(seed, keys[active], 4, words.shape[1] // 4).T
-            words = np.concatenate([words, more], axis=1)
-    w = np.take_along_axis(words, np.arange(k) + np.cumsum(extra[:, :k], axis=1), axis=1)
-    x = ((w >> _SHIFT_RABS) & _MANTISSA) * _ZIGGURAT_WI[(w & _LOW_BYTE).astype(np.intp)]
-    np.bitwise_or(x.view(np.uint64), (w & _SIGN_WORD) << _SIGN_TO_FLOAT, out=x.view(np.uint64))
-    for row, j, value in tails:
-        x[row, j] = value
-    return x.T, k + extra.sum(axis=1)
+            more[todo] = _philox_raw(seed, keys[todo], 4, words.shape[1] // 4).T
+            words = np.hstack([words, more])
+
+    while todo.size:
+        c = cursor[todo]
+        reach(c.max() + 1)
+        r = words[todo, c]
+        cursor[todo] = c + 1
+        rabs, idx = (r >> _SHIFT_RABS) & _MANTISSA, (r & _LOW_BYTE).astype(np.intp)
+        value = rabs * _ZIGGURAT_WI[idx]
+        np.bitwise_or(value.view(np.uint64), (r & _SIGN_WORD) << _SIGN_TO_FLOAT, out=value.view(np.uint64))
+        drew = rabs < _ZIGGURAT_KI[idx]
+        rejected = np.flatnonzero(~drew)
+        layer = idx[rejected]
+        wedge, i = rejected[layer > 0], layer[layer > 0]
+        if wedge.size:
+            reach(c[wedge].max() + 2)
+            v = value[wedge]
+            u = (words[todo[wedge], c[wedge] + 1] >> _SHIFT_DOUBLE) * 2.0 ** -53
+            height = (_ZIGGURAT_FI[i - 1] - _ZIGGURAT_FI[i]) * u + _ZIGGURAT_FI[i]
+            drew[wedge] = height < np.array(list(map(math.exp, (-0.5 * v * v).tolist())))
+            cursor[todo[wedge]] += 1
+        for e in rejected[layer == 0].tolist():
+            t = c[e] + 1
+            while True:
+                reach(t + 2)
+                u1, u2 = ((words[todo[e], t:t + 2] >> _SHIFT_DOUBLE) * 2.0 ** -53).tolist()
+                xx = -_ZIGGURAT_INV_R * math.log1p(-u1)
+                yy = -math.log1p(-u2)
+                t += 2
+                if yy + yy > xx * xx:
+                    break
+            value[e] = -(_ZIGGURAT_R + xx) if rabs[e] >> _SHIFT_BYTE & _ONE else _ZIGGURAT_R + xx
+            drew[e], cursor[todo[e]] = True, t
+        done = todo[drew]
+        x[j[done], done] = value[drew]
+        j[done] += 1
+        todo = todo[j[todo] < k]
+    return x, cursor
 
 
 def amplitude_rows(planes) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Alternating maximization over measurement directions vs the closed form."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -117,9 +119,10 @@ class TestOptimizeSettings:
             OptimizerConfig(**{field: value})
 
     def test_config_stores_plain_ints(self):
-        cfg = OptimizerConfig(max_iterations=np.int64(40), restarts=True)
-        assert (cfg.max_iterations, cfg.restarts) == (40, 1)
-        assert type(cfg.max_iterations) is int and type(cfg.restarts) is int
+        cfg = OptimizerConfig(max_iterations=np.int64(40), restarts=True, seed=np.uint64(5))
+        assert (cfg.max_iterations, cfg.restarts, cfg.seed) == (40, 1, 5)
+        assert all(type(v) is int for v in (cfg.max_iterations, cfg.restarts, cfg.seed))
+        assert json.loads(json.dumps(dataclasses.asdict(cfg)))["seed"] == 5
         assert optimize_settings(np.diag([0.5, 0.25, 0.0]), cfg).converged
 
     def test_rejects_non_finite(self):

@@ -590,6 +590,26 @@ class TestZiggurat:
         batch = amplitude_rows(sample_amplitude_batch((3, 3), "haar", 0, start, 3))
         assert np.array_equal(batch[index - start], expected)
 
+    @pytest.mark.parametrize("chunk, calls", [(0, 2), (1, 3)])
+    def test_one_philox_call_per_block(self, chunk, calls, monkeypatch):
+        """A full chunk's words come from one _philox_raw call, and each
+        further block its slow keys read from one more, never one per key."""
+        made = []
+
+        def recording(seed, keys, k, block=0):
+            made.append((len(keys), block))
+            return _philox_raw(seed, keys, k, block)
+
+        monkeypatch.setattr("spinchsh.states._philox_raw", recording)
+        count = 8192
+        read = _ziggurat(0, key_range(chunk * count, count), self.K)[1]
+        blocks = -(-read.max() // 4)
+        assert len(made) == calls == 1 + blocks - 5
+        assert made[0] == (count, 0)
+        assert [block for _, block in made[1:]] == list(range(5, blocks))
+        # each further block goes to slow keys only: those that read past k words
+        assert all(n <= np.sum(read > self.K) for n, _ in made[1:])
+
     def test_no_numpy_generator_built(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a numpy generator was built")
