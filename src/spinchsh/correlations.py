@@ -52,7 +52,7 @@ class CorrelationMatrix:
     imag_residual: float = 0.0
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float, order="C")
         if m.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {m.shape}")
         if not np.isfinite(m).all():

@@ -29,7 +29,7 @@ class ReducedState:
     purity: float
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
         d = m.shape[0]
         if m.shape != (d, d):
             raise ValueError("reduced state must be square")

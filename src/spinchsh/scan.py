@@ -60,10 +60,6 @@ PRODUCTS = ([(i, k, j, j) for i, k, j in product(range(3), repeat=3)]
 # imaginary parts are every one correlation_from_coefficients reads and all
 # the purity needs; of a partner, only the real part is read.
 PAIRED = [(m, p, k, q) for m, p, k, q in PRODUCTS if 3 * m + k < 3 * p + q]
-DIAGONAL = [(i, i, j, j) for i, j in product(range(3), repeat=2)]
-# row of each computed product's real part in _amplitude_parts; a paired
-# product's imaginary part is len(PRODUCT_ROW) rows further on
-PRODUCT_ROW = {entry: n for n, entry in enumerate(PAIRED + DIAGONAL)}
 # Relative widening of the kernel's two bounds on gamma; float round-off in
 # ||Z||_F^2, det Z and eigvalsh is near 1e-15.
 SCREEN_MARGIN = 1e-9
@@ -154,9 +150,10 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     ``einsum("bmk,bpq->bmpkq", a, a.conj())``, and the reduced state and
     purity by ``einsum("bij,bkj->bik", ...)`` and
     ``einsum("bik,bik->b", ...)``.  Only the 32 distinct products are
-    formed, each as einsum forms it (see ``_amplitude_parts``); a partner
-    is read through its conjugate (see ``_PureBatch``), and each sum is
-    taken in einsum's order.
+    formed, each as einsum forms it, in the named blocks of rows of
+    ``_PureBatch``: ``real`` and ``imag``, the parts of PAIRED, and
+    ``diagonal``, the reduced state's diagonal.  A partner is read through
+    its conjugate, and each sum is taken in einsum's order.
 
     Concurrence, exact for every row, is sqrt(2 (1 - purity)), which
     bottoms out near 1e-8 for near-product states, where
@@ -167,8 +164,8 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     and ``CorrelationMatrix`` do; a row the screen drops can breach neither.
     """
     b = amplitudes.shape[-1]
-    parts = _amplitude_parts(amplitudes)
-    z = correlation_from_coefficients(_PureBatch(parts))
+    batch = _PureBatch(amplitudes)
+    z = correlation_from_coefficients(batch)
     keep = slice(None) if keep_leading is None else _screen(z, keep_leading)
     kept = z[keep]
     ev = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", kept, kept))
@@ -178,14 +175,14 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     check_norm_cap(ev)
     # reduced-state entry (i, k) is ((0 + P(i, k, 0)) + P(i, k, 1)) + P(i, k, 2),
     # P(i, k, j) = a[i, j] conj(a[k, j]), in each part (the 0 + is in the
-    # parts); the purity is the running sum, from 0, of re re + im im over
-    # (i, k) in row-major order: einsum's order, which the bits depend on.
+    # rows), and the first 9 rows of real and imag hold P for i < k in
+    # (i, k, j) order; the purity is the running sum, from 0, of re re + im im
+    # over (i, k) in row-major order: einsum's order, which the bits depend on.
     # Entry (k, i) has the real part of (i, k) and its imaginary part
     # negated, up to the sign of a zero, so both have one term; a diagonal
     # entry's imaginary part is +0, so its term is re re
-    upper_re, upper_im = (parts[n:n + 9].reshape(3, 3, b) for n in (0, len(PRODUCT_ROW)))
-    diagonal = parts[len(PAIRED):len(PRODUCT_ROW)].reshape(3, 3, b)
-    rr, ri, dr = ((t[:, 0] + t[:, 1]) + t[:, 2] for t in (upper_re, upper_im, diagonal))
+    rr, ri, dr = ((t[0::3] + t[1::3]) + t[2::3]
+                  for t in (batch.real[:9], batch.imag[:9], batch.diagonal))
     t01, t02, t12 = rr * rr + ri * ri
     t00, t11, t22 = dr * dr
     purity = sum((t00, t01, t02, t01, t11, t12, t02, t12, t22), 0.0)
@@ -193,12 +190,19 @@ def batch_gamma_concurrence(amplitudes: np.ndarray, *, keep_leading: int | None 
     return gamma, concurrence
 
 
-def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
-    """(55, b) float64 array of the distinct products a[m, k] conj(a[p, q]),
-    for a batch of b states given as planes (re, im), (2, 9, b) or
-    (2, 3, 3, b): row ``PRODUCT_ROW[entry]`` is the real part of each entry
-    of PAIRED and DIAGONAL, and the 23 rows after those 32 the imaginary
-    parts of PAIRED.
+class _PureBatch:
+    """The (b, 3, 3, 3, 3) coefficient tensor of a batch of b pure states,
+    given as planes (re, im), (2, 9, b) or (2, 3, 3, b), as far as
+    correlation_from_coefficients and the purity read it.  One (55, b)
+    float64 array holds three blocks of rows: ``real``, the real part of
+    each entry of PAIRED; ``diagonal``, a[x] conj(a[x]) for x = 3 i + j,
+    the real part of (i, i, j, j); and ``imag``, the imaginary part of each
+    entry of PAIRED.  ``[..., m, p, k, q]`` holds an entry's rows as
+    ``real`` and, for an entry of PAIRED, ``imag``.  The conjugate
+    (p, m, q, k) of an entry of PAIRED has that entry's ``real`` (products
+    commute, and so does +) and no ``imag``, nor has a diagonal entry: the
+    kernel reads neither, and reading one raises AttributeError.  An entry
+    the kernel does not form raises KeyError.
 
     With x = a[m, k] and y = a[p, q], each part is re = x.re y.re + x.im y.im
     and im = x.im y.re - x.re y.im, plus 0.0, because einsum adds the
@@ -212,53 +216,38 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     imaginary part, +0.0, is not stored.  Every row is written in place
     into one array, read straight from the plane rows.
     """
-    b = amplitudes.shape[-1]
-    a_re, a_im = amplitudes.reshape(2, 9, b)   # row 3 m + k is a[m, k]
-    parts = np.empty((len(PRODUCT_ROW) + len(PAIRED), b))
-    real, imag = parts[:len(PRODUCT_ROW)], parts[len(PRODUCT_ROW):]
-    # the diagonal first, squaring the imaginary plane into rows not yet
-    # written, so that no (9, b) scratch array is needed
-    diagonal = real[len(PAIRED):]                       # x = 0 .. 8 in order
-    np.multiply(a_re, a_re, out=diagonal)
-    np.multiply(a_im, a_im, out=imag[:9])
-    np.add(diagonal, imag[:9], out=diagonal)
-    scratch = np.empty(b)
-    for n, (m, p, k, q) in enumerate(PAIRED):
-        x, y = 3 * m + k, 3 * p + q
-        re, im = real[n], imag[n]
-        np.multiply(a_re[x], a_re[y], out=re)        # x.re y.re
-        np.multiply(a_im[x], a_im[y], out=scratch)   # x.im y.im
-        np.add(re, scratch, out=re)
-        np.add(re, 0.0, out=re)
-        np.multiply(a_im[x], a_re[y], out=im)        # x.im y.re
-        np.multiply(a_re[x], a_im[y], out=scratch)   # x.re y.im
-        np.subtract(im, scratch, out=im)
-        np.add(im, 0.0, out=im)
-    return parts
 
-
-class _PureBatch:
-    """The (b, 3, 3, 3, 3) coefficient tensor of a batch of pure states, as
-    far as correlation_from_coefficients reads it, over the rows of
-    ``_amplitude_parts``: ``[..., m, p, k, q]`` holds the rows ``real`` and,
-    for an entry of PAIRED, ``imag``.  The conjugate (p, m, q, k) of a
-    computed entry has that entry's ``real`` (products commute, and so does
-    +) and no ``imag``, nor has a diagonal entry: the kernel reads neither,
-    and reading one raises AttributeError."""
-
-    def __init__(self, parts: np.ndarray):
-        self.parts = parts
-        self.shape = (parts.shape[1], 3, 3, 3, 3)
-        self.nbytes = parts.nbytes
+    def __init__(self, amplitudes: np.ndarray):
+        b = amplitudes.shape[-1]
+        a_re, a_im = amplitudes.reshape(2, 9, b)   # row 3 m + k is a[m, k]
+        n = len(PAIRED)
+        rows = np.empty((n + 9 + n, b))
+        self.real, self.diagonal, self.imag = rows[:n], rows[n:n + 9], rows[n + 9:]
+        self.shape = (b, 3, 3, 3, 3)
+        self.nbytes = rows.nbytes
+        # the diagonal first, squaring the imaginary plane into rows not yet
+        # written, so that no (9, b) scratch array is needed
+        np.multiply(a_re, a_re, out=self.diagonal)
+        np.multiply(a_im, a_im, out=self.imag[:9])
+        np.add(self.diagonal, self.imag[:9], out=self.diagonal)
+        self.entries = {(i, i, j, j): SimpleNamespace(real=row)
+                        for (i, j), row in zip(product(range(3), repeat=2), self.diagonal)}
+        scratch = np.empty(b)
+        for (m, p, k, q), re, im in zip(PAIRED, self.real, self.imag):
+            x, y = 3 * m + k, 3 * p + q
+            np.multiply(a_re[x], a_re[y], out=re)        # x.re y.re
+            np.multiply(a_im[x], a_im[y], out=scratch)   # x.im y.im
+            np.add(re, scratch, out=re)
+            np.add(re, 0.0, out=re)
+            np.multiply(a_im[x], a_re[y], out=im)        # x.im y.re
+            np.multiply(a_re[x], a_im[y], out=scratch)   # x.re y.im
+            np.subtract(im, scratch, out=im)
+            np.add(im, 0.0, out=im)
+            self.entries[m, p, k, q] = SimpleNamespace(real=re, imag=im)
+            self.entries[p, m, q, k] = SimpleNamespace(real=re)
 
     def __getitem__(self, key) -> SimpleNamespace:
-        m, p, k, q = entry = key[1:]
-        if entry not in PRODUCT_ROW:   # a partner: its conjugate's real part
-            return SimpleNamespace(real=self.parts[PRODUCT_ROW[(p, m, q, k)]])
-        n = PRODUCT_ROW[entry]
-        if n < len(PAIRED):
-            return SimpleNamespace(real=self.parts[n], imag=self.parts[len(PRODUCT_ROW) + n])
-        return SimpleNamespace(real=self.parts[n])
+        return self.entries[key[1:]]
 
 
 def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:

@@ -44,9 +44,9 @@ def _check_spin_value(s: float) -> float:
 
 
 def check_unit_vector(name: str, v) -> np.ndarray:
-    """``v`` as a contiguous float array of shape (3,); raises ValueError
+    """``v`` as a new contiguous float array of shape (3,); raises ValueError
     unless its Euclidean norm is within INPUT_TOL of 1."""
-    v = np.ascontiguousarray(v, dtype=float)
+    v = np.array(v, dtype=float, order="C")
     if v.shape != (3,):
         raise ValueError(f"{name} must have three components, got shape {v.shape}")
     norm = np.linalg.norm(v)

@@ -95,7 +95,7 @@ class PureState:
     dims: tuple
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         dims = _check_dims(self.dims)
         if amps.shape != (dims[0] * dims[1],):
             raise ValueError(f"amplitude vector of length {amps.shape} does not match dims {dims}")
@@ -122,7 +122,7 @@ class DensityMatrix:
     dims: tuple
 
     def __post_init__(self):
-        rho = np.ascontiguousarray(self.matrix, dtype=complex)
+        rho = np.array(self.matrix, dtype=complex, order="C")
         dims = _check_dims(self.dims)
         n = dims[0] * dims[1]
         if rho.shape != (n, n):
@@ -476,7 +476,7 @@ class Product(Family):
 
     def __post_init__(self):
         for name, rho in (("rho_a", self.rho_a), ("rho_b", self.rho_b)):
-            rho = np.ascontiguousarray(rho, dtype=complex)
+            rho = np.array(rho, dtype=complex, order="C")
             if rho.shape != (3, 3):
                 raise ValueError(f"{name} must be a 3x3 matrix")
             require_physical(rho, name)

@@ -10,6 +10,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -425,12 +426,29 @@ class TestKernelMatchesEinsumRoute:
     def test_partner_and_diagonal_have_no_imaginary_part(self):
         """Only an entry of PAIRED has an imaginary row: a formula that read
         a partner's or a diagonal entry's imaginary part would fail."""
-        batch = scan._PureBatch(scan._amplitude_parts(planes_of(chunk()[:4])))
+        batch = scan._PureBatch(planes_of(chunk()[:4]))
         partners = [(p, m, q, k) for m, p, k, q in scan.PAIRED]
-        assert sorted(partners + scan.PAIRED + scan.DIAGONAL) == sorted(scan.PRODUCTS)
-        for entry in partners + scan.DIAGONAL:
+        diagonal = [(i, i, j, j) for i in range(3) for j in range(3)]
+        assert sorted(partners + scan.PAIRED + diagonal) == sorted(scan.PRODUCTS)
+        for entry in partners + diagonal:
             with pytest.raises(AttributeError):
                 batch[(..., *entry)].imag
+
+    def test_batch_is_what_the_tracer_reads(self, monkeypatch):
+        """perfbench's correlations.z span counts the bytes of the batch the
+        kernel passes to correlation_from_coefficients as its .nbytes: the
+        one (55, b) float64 array of products.  The batch reads as a
+        (b, 3, 3, 3, 3) tensor, and an entry the kernel does not form raises
+        rather than reading some other row."""
+        b = 100
+        _, batch = self.kernel(chunk()[:b], monkeypatch)
+        assert batch.shape == (b, 3, 3, 3, 3)
+        assert batch.nbytes == 55 * 8 * b
+        unformed = [entry for entry in product(range(3), repeat=4) if entry not in scan.PRODUCTS]
+        assert len(unformed) == 81 - 55
+        for entry in unformed:
+            with pytest.raises(KeyError):
+                batch[(..., *entry)]
 
     @pytest.mark.parametrize("seed, start", [(0, 0), (11, 77 * CHUNK), (2 ** 63 + 5, 2 ** 64 - CHUNK)])
     @pytest.mark.parametrize("sampler", ["uniform", "haar"])
@@ -498,7 +516,7 @@ class TestKernelMatchesEinsumRoute:
         # the representatives: one of each of the 23 pairs, the first of each
         # pair in PRODUCTS order among the reduced state's 9 pairs (i < k)
         diagonal = [entry for entry in scan.PRODUCTS if conjugate(entry) == entry]
-        assert scan.DIAGONAL == diagonal == [(i, i, j, j) for i in range(3) for j in range(3)]
+        assert diagonal == [(i, i, j, j) for i in range(3) for j in range(3)]
         pairs = {frozenset((entry, conjugate(entry))) for entry in scan.PRODUCTS} - {
             frozenset((entry,)) for entry in diagonal}
         assert len(scan.PAIRED) == len(pairs) == 23
@@ -507,7 +525,7 @@ class TestKernelMatchesEinsumRoute:
         assert scan.PAIRED == [entry for entry in scan.PRODUCTS if entry in scan.PAIRED]
 
         def representative(entry):
-            return entry if entry in scan.PRODUCT_ROW else conjugate(entry)
+            return entry if entry in scan.PAIRED + diagonal else conjugate(entry)
 
         # the computed part each read part comes from.  A diagonal entry's
         # imaginary part is +0.0 and comes from none.  No imaginary part
@@ -526,7 +544,7 @@ class TestKernelMatchesEinsumRoute:
         computed = ({("real", entry) for entry in scan.PAIRED + diagonal}
                     | {("imag", entry) for entry in scan.PAIRED})
         assert sources == computed
-        assert scan._amplitude_parts(planes_of(chunk()[:4])).shape == (len(computed), 4) == (55, 4)
+        assert scan._PureBatch(planes_of(chunk()[:4])).nbytes == len(computed) * 4 * 8 == 55 * 4 * 8
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed, random_pure, random_qutrit_density, random_unit_triple
-from spinchsh import (Antisym, DensityMatrix, Example1, Example2, GHZ3,
-                      Horodecki, Product, PureState, ReducedState, StateInvariantError, Sym,
-                      Werner, family_pure, family_state, mix, pure_to_density,
-                      sample_pure_state, state_from_json, swap_operator)
+from spinchsh import (Antisym, CorrelationMatrix, DensityMatrix, Example1, Example2, GHZ3,
+                      Horodecki, MeasurementSetting, Product, PureState, ReducedState,
+                      StateInvariantError, Sym, Werner, family_pure, family_state, mix,
+                      pure_to_density, sample_pure_state, state_from_json, swap_operator)
 from spinchsh.states import (amplitude_rows, keyed_generator, norm_residuals,
                              physicality_residuals, sample_amplitude_batch)
 from spinchsh.states import _PHILOX_TILE, _from_pairs, _normalize, _philox_raw, _ziggurat
@@ -64,6 +64,28 @@ class TestPureAndDensity:
         negative = np.diag([1.1, -0.1] + [0.0] * 7).astype(complex)
         with pytest.raises(StateInvariantError):
             DensityMatrix(negative, (3, 3))
+
+    @pytest.mark.parametrize("make, value, field", [
+        (lambda x: PureState(x, (3, 3)), np.eye(9, dtype=complex)[4], "amplitudes"),
+        (lambda x: DensityMatrix(x, (3, 3)), np.eye(9, dtype=complex) / 9, "matrix"),
+        (lambda x: Product(x, np.eye(3, dtype=complex) / 3), np.eye(3, dtype=complex) / 3, "rho_a"),
+        (lambda x: CorrelationMatrix(x, s=1.0), np.diag([0.5, -0.5, 0.5]), "matrix"),
+        (lambda x: MeasurementSetting(x, *np.eye(3)), np.array([0.6, 0.8, 0.0]), "a1"),
+        (lambda x: ReducedState(x, 1 / 3), np.eye(3, dtype=complex) / 3, "matrix"),
+    ], ids=["PureState", "DensityMatrix", "Product", "CorrelationMatrix", "MeasurementSetting",
+            "ReducedState"])
+    def test_value_objects_own_their_arrays(self, make, value, field):
+        """A value object copies the array it is given: the caller's array
+        stays writable, and editing it later cannot break an invariant the
+        object checked when it was built."""
+        given = value.copy()
+        make(given)
+        assert given.flags.writeable
+        base = np.stack([value, value])
+        obj = make(base[0])
+        base[0] = 0
+        assert np.array_equal(getattr(obj, field), value)
+        assert not getattr(obj, field).flags.writeable
 
     def test_coefficient_view_matches_matrix(self, rng):
         rho = random_mixed(rng)
