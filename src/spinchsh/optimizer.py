@@ -66,28 +66,28 @@ def _matrix_of(Z) -> np.ndarray:
 def bilinear_reduce(Z, setting: MeasurementSetting) -> float:
     """CHSH expectation as a bilinear form in the measurement directions:
     a1 . Z (b1 + b2) + a2 . Z (b1 - b2)."""
-    return _bilinear(_matrix_of(Z), setting.a1, setting.a2, setting.b1, setting.b2)
+    m, s = _matrix_of(Z), setting
+    return float(s.a1 @ (m @ (s.b1 + s.b2)) + s.a2 @ (m @ (s.b1 - s.b2)))
 
 
-def _bilinear(m, a1, a2, b1, b2) -> float:
-    return float(a1 @ (m @ (b1 + b2)) + a2 @ (m @ (b1 - b2)))
-
-
-def _random_unit(rng) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(3)
-        n = np.linalg.norm(v)
+def _random_units(rng) -> list:
+    # four unit vectors from the stream's triples of norm above 1e-12; one
+    # (4, 3) draw reads it as four standard_normal(3) calls do
+    units, triples = [], list(rng.standard_normal((4, 3)))
+    while len(units) < 4:
+        v = triples.pop(0) if triples else rng.standard_normal(3)
+        n = math.sqrt(v.dot(v))
         if n > 1e-12:
-            return v / n
+            units.append(v / n)
+    return units
 
 
 def _normalize_or_keep(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     # a zero gradient direction leaves the objective flat; any unit vector
-    # is optimal, so keep the previous one for stability
-    n = np.linalg.norm(v)
-    if n <= 1e-300:
-        return fallback
-    return v / n
+    # is optimal, so keep the previous one for stability.  sqrt(v . v) is
+    # what np.linalg.norm computes for a real vector; a NaN norm divides
+    n = math.sqrt(v.dot(v))
+    return fallback if n <= 1e-300 else v / n
 
 
 def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
@@ -96,6 +96,10 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
     Deterministic given ``cfg.seed``: restart r draws its starting directions
     from the (seed, r) substream.  Returns the best restart; ``converged`` is
     False only if every restart exhausted ``max_iterations``.
+
+    A sweep's objective a1 . x + a2 . y reads x, y = Z (b1 + b2), Z (b1 - b2),
+    the vectors the next sweep's Alice step normalizes, so a sweep forms four
+    matrix-vector products and reuses two.
     """
     m = _matrix_of(Z)
     if not np.all(np.isfinite(m)):
@@ -104,25 +108,21 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
     best = None   # (history, iterations, vectors) of the first best restart
     any_converged = False
     for restart in range(cfg.restarts):
-        rng = keyed_generator(cfg.seed, restart)
-        a1, a2 = _random_unit(rng), _random_unit(rng)
-        b1, b2 = _random_unit(rng), _random_unit(rng)
-        history = []
-        prev = -math.inf
-        converged = False
-        iterations = 0
+        a1, a2, b1, b2 = _random_units(keyed_generator(cfg.seed, restart))
+        x, y = m.dot(b1 + b2), m.dot(b1 - b2)
+        history, prev = [], -math.inf
         for iterations in range(1, cfg.max_iterations + 1):
-            a1 = _normalize_or_keep(m @ (b1 + b2), a1)
-            a2 = _normalize_or_keep(m @ (b1 - b2), a2)
-            b1 = _normalize_or_keep(mt @ (a1 + a2), b1)
-            b2 = _normalize_or_keep(mt @ (a1 - a2), b2)
-            obj = _bilinear(m, a1, a2, b1, b2)
+            a1 = _normalize_or_keep(x, a1)
+            a2 = _normalize_or_keep(y, a2)
+            b1 = _normalize_or_keep(mt.dot(a1 + a2), b1)
+            b2 = _normalize_or_keep(mt.dot(a1 - a2), b2)
+            x, y = m.dot(b1 + b2), m.dot(b1 - b2)
+            obj = float(a1.dot(x) + a2.dot(y))
             history.append(obj)
             if obj - prev < cfg.convergence_tol:
-                converged = True
+                any_converged = True
                 break
             prev = obj
-        any_converged = any_converged or converged
         if best is None or history[-1] > best[0][-1]:
             best = history, iterations, (a1, a2, b1, b2)
     history, iterations, vectors = best

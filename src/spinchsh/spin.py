@@ -31,6 +31,17 @@ class SpinOperators:
     s: float
     components: np.ndarray  # shape (3, d, d), complex
 
+    def __post_init__(self):
+        object.__setattr__(self, "s", _check_spin_value(self.s))
+        # a read-only copy; the spin algebra is checked by validate_spin_algebra,
+        # not here, so perturbed operators can be built and measured
+        c = np.array(self.components, dtype=complex, order="C")
+        if c.shape != (3, self.d, self.d):
+            raise ValueError(f"spin-{self.s} components must have shape "
+                             f"(3, {self.d}, {self.d}), got {c.shape}")
+        c.setflags(write=False)
+        object.__setattr__(self, "components", c)
+
     @property
     def d(self) -> int:
         return int(round(2 * self.s + 1))
@@ -71,7 +82,6 @@ def spin_operators(s: float) -> SpinOperators:
         ((raising - lowering) / 2j).astype(complex),
         np.diag(m).astype(complex),
     ])
-    components.setflags(write=False)
     return SpinOperators(s=s, components=components)
 
 

@@ -160,8 +160,10 @@ def _from_pairs(pairs, shape: tuple) -> np.ndarray:
     pairs; raises ValueError unless there is exactly one pair of finite
     numbers per entry."""
     try:
-        # numpy would read the string "1" and True as 1.0
-        numeric = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+        # numpy would read the string "1" and True as 1.0; the exact-type test
+        # spares JSON's floats and ints the slower abstract-class check
+        numeric = all(type(x) in (float, int)
+                      or (isinstance(x, numbers.Real) and not isinstance(x, bool))
                       for pair in pairs for x in pair)
         pairs = np.asarray(pairs, dtype=float) if numeric else None
     except (TypeError, ValueError):  # not nested lists, or ragged

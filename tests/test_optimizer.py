@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_mixed, random_pure
-from spinchsh import (CorrelationMatrix, GHZ3, Horodecki, MeasurementSetting,
-                      OptimizerConfig, bilinear_reduce, chsh_analysis,
-                      correlation_matrix_coeff, family_state,
-                      optimize_settings, pure_to_density, settings_from_svd)
+from conftest import random_mixed, random_pure, random_qutrit_density, random_unit_triple
+from spinchsh import (Antisym, CorrelationMatrix, Example1, Example2, GHZ3, Horodecki,
+                      MeasurementSetting, OptimizerConfig, OptimizationResult, Product, Sym,
+                      Werner, bilinear_reduce, chsh_analysis, correlation_matrix_coeff,
+                      family_state, optimize_settings, pure_to_density, settings_from_svd)
+from spinchsh import optimizer
+from spinchsh.states import FAMILIES
 
 E1, E2, E3 = np.eye(3)
 
@@ -19,6 +21,86 @@ E1, E2, E3 = np.eye(3)
 def closed_form(matrix):
     ev = np.linalg.eigvalsh(matrix.T @ matrix)
     return 2 * math.sqrt(max(ev[2], 0) + max(ev[1], 0))
+
+
+# The alternating sweep as it was written before it reused the objective's
+# products: per sweep four np.linalg.norm, six @ products and one _bilinear.
+# optimize_settings must return its bits.  fallbacks counts how often the
+# zero-gradient branch ran.
+fallbacks = [0]
+
+
+def _loop_bilinear(m, a1, a2, b1, b2) -> float:
+    return float(a1 @ (m @ (b1 + b2)) + a2 @ (m @ (b1 - b2)))
+
+
+def _loop_random_unit(rng) -> np.ndarray:
+    while True:
+        v = rng.standard_normal(3)
+        n = np.linalg.norm(v)
+        if n > 1e-12:
+            return v / n
+
+
+def _loop_normalize_or_keep(v, fallback):
+    n = np.linalg.norm(v)
+    if n <= 1e-300:
+        fallbacks[0] += 1
+        return fallback
+    return v / n
+
+
+def loop_optimize_settings(Z, cfg):
+    m = optimizer._matrix_of(Z)
+    mt = m.T
+    best = None
+    any_converged = False
+    for restart in range(cfg.restarts):
+        rng = optimizer.keyed_generator(cfg.seed, restart)
+        a1, a2 = _loop_random_unit(rng), _loop_random_unit(rng)
+        b1, b2 = _loop_random_unit(rng), _loop_random_unit(rng)
+        history = []
+        prev = -math.inf
+        converged = False
+        iterations = 0
+        for iterations in range(1, cfg.max_iterations + 1):
+            a1 = _loop_normalize_or_keep(m @ (b1 + b2), a1)
+            a2 = _loop_normalize_or_keep(m @ (b1 - b2), a2)
+            b1 = _loop_normalize_or_keep(mt @ (a1 + a2), b1)
+            b2 = _loop_normalize_or_keep(mt @ (a1 - a2), b2)
+            obj = _loop_bilinear(m, a1, a2, b1, b2)
+            history.append(obj)
+            if obj - prev < cfg.convergence_tol:
+                converged = True
+                break
+            prev = obj
+        any_converged = any_converged or converged
+        if best is None or history[-1] > best[0][-1]:
+            best = history, iterations, (a1, a2, b1, b2)
+    history, iterations, vectors = best
+    return OptimizationResult(setting=MeasurementSetting(*vectors), value=history[-1],
+                              iterations=iterations, converged=any_converged,
+                              history=tuple(history))
+
+
+def result_bytes(result):
+    setting = result.setting
+    return (type(result.value), np.float64(result.value).tobytes(), result.iterations,
+            result.converged, [type(h) for h in result.history],
+            np.array(result.history).tobytes(),
+            [v.tobytes() for v in (setting.a1, setting.a2, setting.b1, setting.b2)])
+
+
+def family_matrices(rng):
+    """Z of members of every named family."""
+    specs = [GHZ3(), *(Werner(p) for p in (-1.0, -0.5, 0.0, 0.5, 1.0)),
+             *(Horodecki(t) for t in (2.0, 3.0, 4.0, 5.0)),
+             *(cls(t) for cls in (Example1, Example2) for t in (0.0, 0.3, 0.7, 1.0))]
+    for _ in range(3):
+        specs += [Antisym(*random_unit_triple(rng)), Sym(*random_unit_triple(rng)),
+                  Product(random_qutrit_density(rng), random_qutrit_density(rng))]
+    assert {type(spec) for spec in specs} == set(FAMILIES.values())
+    return [correlation_matrix_coeff(family_state(spec)).matrix for spec in specs]
 
 
 class TestBilinearReduce:
@@ -128,6 +210,61 @@ class TestOptimizeSettings:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             optimize_settings(np.full((3, 3), np.nan))
+
+    def test_optimizer_matches_loop_bits(self, rng):
+        """Every field, to the byte, equals the per-sweep loop's: the
+        objective's products handed to the next Alice step, sqrt(v . v) for
+        np.linalg.norm, ndarray.dot for @ and one (4, 3) draw for four
+        standard_normal(3) change no bit."""
+        matrices = family_matrices(rng)
+        for i in range(12):
+            rho = pure_to_density(random_pure(rng)) if i % 2 else random_mixed(rng)
+            matrices.append(correlation_matrix_coeff(rho).matrix)
+        for _ in range(6):
+            m = rng.standard_normal((3, 3)) * 0.3
+            u, _, vt = np.linalg.svd(m)
+            matrices += [np.asfortranarray(m), m.T,
+                         0.7 * np.outer(u[:, 0], vt[0]),                    # rank 1
+                         u @ np.diag([0.5, 0.5 - 1e-15, 0.2]) @ vt,        # near-degenerate
+                         u @ np.diag([0.5, 0.5 * (1 - 1e-12), 0.0]) @ vt]
+        matrices.append(np.zeros((3, 3)))
+        configs = [OptimizerConfig(seed=7), OptimizerConfig(max_iterations=1, seed=1),
+                   OptimizerConfig(max_iterations=3, seed=2), OptimizerConfig(restarts=1, seed=3),
+                   OptimizerConfig(seed=2 ** 64 - 1)]
+        fallbacks[0] = 0
+        for m in matrices:
+            for cfg in configs:
+                assert result_bytes(optimize_settings(m, cfg)) == \
+                    result_bytes(loop_optimize_settings(m, cfg)), (m, cfg)
+        assert fallbacks[0] > 0
+
+    @pytest.mark.parametrize("short", [[1], [3], [3, 4], [0, 4, 5], [0, 1, 2, 3]])
+    def test_short_triples_skipped_in_stream_order(self, monkeypatch, short):
+        """A starting triple of norm <= 1e-12 is skipped, and the next one
+        read, in the same order by the batched draw as by four draws."""
+        class Stream:
+            def __init__(self, triples):
+                self.values, self.read = np.concatenate(triples), 0
+
+            def standard_normal(self, size):
+                n = int(np.prod(size))
+                self.read += n
+                return self.values[self.read - n:self.read].reshape(size).copy()
+
+        triples = list(np.random.default_rng(3).standard_normal((12, 3)))
+        for i in short:
+            triples[i] = np.array([1e-13, 0.0, 0.0]) if i % 2 else np.zeros(3)
+        m = np.diag([0.6, -0.4, 0.2])
+        cfg = OptimizerConfig(restarts=2, max_iterations=5)
+        results, reads = [], []
+        for route in (optimize_settings, loop_optimize_settings):
+            streams = []
+            monkeypatch.setattr(optimizer, "keyed_generator",
+                                lambda seed, index: streams.append(Stream(triples)) or streams[-1])
+            results.append(result_bytes(route(m, cfg)))
+            reads.append([stream.read for stream in streams])
+        assert results[0] == results[1]
+        assert reads[0] == reads[1] == [3 * (4 + len(short))] * cfg.restarts
 
 
 class TestSettingsFromSvd:

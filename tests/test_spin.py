@@ -123,6 +123,16 @@ class TestValidation:
         assert report["commutation"] == pytest.approx(1e-3, rel=1e-9)
         assert report["hermiticity"] == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (3, 3, 4), (9, 3)])
+    def test_components_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            SpinOperators(s=1.0, components=np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("s", [0.7, 0.0, -1.0, float("nan")])
+    def test_components_of_no_spin_rejected(self, s):
+        with pytest.raises(ValueError, match="spin"):
+            SpinOperators(s=s, components=spin_operators(0.5).components)
+
 
 class TestProjection:
 

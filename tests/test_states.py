@@ -13,8 +13,9 @@ import pytest
 from conftest import random_mixed, random_pure, random_qutrit_density, random_unit_triple
 from spinchsh import (Antisym, CorrelationMatrix, DensityMatrix, Example1, Example2, GHZ3,
                       Horodecki, MeasurementSetting, Product, PureState, ReducedState,
-                      StateInvariantError, Sym, Werner, family_pure, family_state, mix,
-                      pure_to_density, sample_pure_state, state_from_json, swap_operator)
+                      SpinOperators, StateInvariantError, Sym, Werner, family_pure, family_state,
+                      mix, pure_to_density, sample_pure_state, spin_operators, state_from_json,
+                      swap_operator)
 from spinchsh.states import (amplitude_rows, keyed_generator, norm_residuals,
                              physicality_residuals, sample_amplitude_batch)
 from spinchsh.states import _PHILOX_TILE, _from_pairs, _normalize, _philox_raw, _ziggurat
@@ -72,8 +73,9 @@ class TestPureAndDensity:
         (lambda x: CorrelationMatrix(x, s=1.0), np.diag([0.5, -0.5, 0.5]), "matrix"),
         (lambda x: MeasurementSetting(x, *np.eye(3)), np.array([0.6, 0.8, 0.0]), "a1"),
         (lambda x: ReducedState(x, 1 / 3), np.eye(3, dtype=complex) / 3, "matrix"),
+        (lambda x: SpinOperators(1.0, x), spin_operators(1.0).components, "components"),
     ], ids=["PureState", "DensityMatrix", "Product", "CorrelationMatrix", "MeasurementSetting",
-            "ReducedState"])
+            "ReducedState", "SpinOperators"])
     def test_value_objects_own_their_arrays(self, make, value, field):
         """A value object copies the array it is given: the caller's array
         stays writable, and editing it later cannot break an invariant the
