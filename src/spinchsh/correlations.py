@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinOperators, _check_spin_value, check_unit_vector, spin_projection
+from .spin import (SpinOperators, _check_spin_value, check_unit_vector, rebuild_reduce,
+                   spin_projection)
 from .states import DensityMatrix, Family, family_of
 
 # Imaginary parts of correlation traces must vanish for physical states.
@@ -62,6 +63,8 @@ class CorrelationMatrix:
             check_norm_cap(np.linalg.eigvalsh(m.T @ m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    __reduce__ = rebuild_reduce
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,8 @@ class MeasurementSetting:
             v = check_unit_vector(name, getattr(self, name))
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+
+    __reduce__ = rebuild_reduce
 
 
 def correlation_matrix_trace(rho: DensityMatrix, ops: SpinOperators) -> CorrelationMatrix:

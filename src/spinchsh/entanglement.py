@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spin import rebuild_reduce
 from .states import DensityMatrix, PureState, family_of, require_physical
 
 # Slack on the purity range [1/d, 1] of a reduced state.
@@ -38,6 +39,8 @@ class ReducedState:
             raise ValueError(f"purity {self.purity} outside [1/{d}, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    __reduce__ = rebuild_reduce
 
 
 def _frobenius_sq(m: np.ndarray) -> float:

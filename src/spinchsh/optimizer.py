@@ -104,6 +104,13 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
     m = _matrix_of(Z)
     if not np.all(np.isfinite(m)):
         raise ValueError("correlation matrix must be finite")
+    # v . v overflows above ~1e154 and loses bits below ~1e-154.  Out there
+    # the sweep runs on m times an exact power of two, which no unit vector
+    # sees, and the objectives are scaled back
+    peak = float(np.abs(m).max())
+    shift = math.frexp(peak)[1] if peak > 2.0 ** 500 or 0 < peak < 2.0 ** -500 else 0
+    if shift:
+        m = np.ldexp(m, -shift)
     mt = m.T
     best = None   # (history, iterations, vectors) of the first best restart
     any_converged = False
@@ -126,6 +133,11 @@ def optimize_settings(Z, cfg: OptimizerConfig = OptimizerConfig()) -> Optimizati
         if best is None or history[-1] > best[0][-1]:
             best = history, iterations, (a1, a2, b1, b2)
     history, iterations, vectors = best
+    try:
+        history = [math.ldexp(h, shift) for h in history]
+    except OverflowError:
+        raise ValueError(f"the CHSH maximum of a matrix with entries up to {peak} "
+                         "exceeds the float range") from None
     return OptimizationResult(
         setting=MeasurementSetting(*vectors),
         value=history[-1],

@@ -3,8 +3,8 @@
 Each sample is drawn from its own (seed, index) substream, piped through the
 coefficient-tensor correlation route (only the distinct tensor entries that
 route and the purity read are built) to the CHSH parameter gamma and the
-concurrence, and folded into an order-independent reduction (max, counts,
-histogram).  Reports are therefore byte-identical across worker counts.
+concurrence.  ``ScanReport.merge`` folds the report of each chunk of samples
+in chunk order, so reports are byte-identical across worker counts.
 
 A sample with gamma > 1 would refute the nonviolation conjecture; the scan
 records such states in full rather than treating them as errors.
@@ -19,7 +19,8 @@ import logging
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product
 from multiprocessing import Pool
 from types import SimpleNamespace
@@ -104,6 +105,26 @@ class ScanReport:
     min_concurrence: float
     low_concurrence_count: int
     violations: list         # (index, gamma, PureState), capped
+
+    def merge(self, other: ScanReport) -> ScanReport:
+        """The report of this report's samples followed by ``other``'s.
+
+        Counts add; the maximum is the first (``other``'s only if greater, as
+        ``max`` picks, NaN included) and the minimum concurrence ``min``'s;
+        rows and capped violations concatenate.  Raises ValueError on reports
+        of another sampler, seed or histogram bins."""
+        if (self.sampler, self.seed, [h[:2] for h in self.histogram]) != \
+                (other.sampler, other.seed, [h[:2] for h in other.histogram]):
+            raise ValueError("cannot merge reports of another sampler, seed or histogram bins")
+        best = other if other.max_gamma > self.max_gamma else self
+        return replace(best, n_samples=self.n_samples + other.n_samples,
+                       violation_count=self.violation_count + other.violation_count,
+                       histogram=[(lo, hi, c + d) for (lo, hi, c), (_, _, d)
+                                  in zip(self.histogram, other.histogram)],
+                       sample_rows=self.sample_rows + other.sample_rows,
+                       min_concurrence=min(self.min_concurrence, other.min_concurrence),
+                       low_concurrence_count=self.low_concurrence_count + other.low_concurrence_count,
+                       violations=(self.violations + other.violations)[:VIOLATION_RECORD_CAP])
 
     def to_json(self) -> dict:
         return {
@@ -267,7 +288,8 @@ def _screen(z: np.ndarray, keep_leading: int) -> np.ndarray:
     return keep
 
 
-def _scan_chunk(args) -> dict:
+def _scan_chunk(args) -> ScanReport:
+    """The ScanReport of samples [start, stop), histogrammed over ``edges``."""
     cfg, edges, start, stop = args
     planes = sample_amplitude_batch((3, 3), cfg.sampler, cfg.seed, start, stop - start)
     gamma, conc = batch_gamma_concurrence(planes, keep_leading=max(0, SAMPLE_ROW_COUNT - start))
@@ -276,21 +298,21 @@ def _scan_chunk(args) -> dict:
     viol = np.nonzero(gamma > 1.0 + VIOLATION_TOL)[0]
     recorded = viol[:VIOLATION_RECORD_CAP]
     leading = range(min(stop, SAMPLE_ROW_COUNT) - start)   # empty past the leading samples
-    # complex rows only for the states a report keeps.  They go back as
-    # lists: PureState owns the array it makes from a list on any worker count
-    return {
-        "max_gamma": float(gamma[local_arg]),
-        "argmax_index": start + local_arg,
-        "argmax_row": amplitude_rows(planes[..., [local_arg]])[0].tolist(),
-        "violation_count": len(viol),
-        "violations": [(start + int(i), float(gamma[i]), row.tolist())
-                       for i, row in zip(recorded, amplitude_rows(planes[..., recorded]))],
-        "hist": hist,
-        "rows": [(row, float(gamma[i]))
-                 for i, row in zip(leading, amplitude_rows(planes[..., leading]))],
-        "min_concurrence": float(conc.min()),
-        "low_concurrence_count": int((conc <= LOW_CONCURRENCE).sum()),
-    }
+    # complex rows only for the states a report keeps
+    return ScanReport(
+        n_samples=stop - start, sampler=cfg.sampler, seed=cfg.seed,
+        max_gamma=float(gamma[local_arg]),
+        argmax_index=start + local_arg,
+        argmax_state=PureState(amplitude_rows(planes[..., [local_arg]])[0], (3, 3)),
+        violation_count=len(viol),
+        histogram=list(zip(edges.tolist(), edges[1:].tolist(), hist.tolist())),
+        sample_rows=[(row, float(gamma[i]))
+                     for i, row in zip(leading, amplitude_rows(planes[..., leading]))],
+        min_concurrence=float(conc.min()),
+        low_concurrence_count=int((conc <= LOW_CONCURRENCE).sum()),
+        violations=[(start + int(i), float(gamma[i]), PureState(row, (3, 3)))
+                    for i, row in zip(recorded, amplitude_rows(planes[..., recorded]))],
+    )
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:
@@ -302,42 +324,19 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     names are the rows the scan drew.
     """
     edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
-    tasks = [(cfg, edges, start, min(start + CHUNK, cfg.n_samples))
-             for start in range(0, cfg.n_samples, CHUNK)]
-    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    tasks = ((cfg, edges, start, min(start + CHUNK, cfg.n_samples))
+             for start in range(0, cfg.n_samples, CHUNK))
+    workers = min(cfg.workers, -(-cfg.n_samples // CHUNK), os.cpu_count() or 1)
     if workers == 1:
-        parts = [_scan_chunk(t) for t in tasks]
+        report = reduce(ScanReport.merge, map(_scan_chunk, tasks))
     else:
         with Pool(processes=workers) as pool:
             # one chunk per hand-out: no worker idles while another runs a last batch
-            parts = pool.map(_scan_chunk, tasks, chunksize=1)
-
-    best = max(parts, key=lambda part: part["max_gamma"])  # first maximum in chunk order
-    violation_count = sum(part["violation_count"] for part in parts)
-    hist = sum(part["hist"] for part in parts)
-    low_conc = sum(part["low_concurrence_count"] for part in parts)
-    if low_conc:
+            report = reduce(ScanReport.merge, pool.map(_scan_chunk, tasks, chunksize=1))
+    if report.low_concurrence_count:
         logger.warning("%d sample(s) had concurrence <= %.0e (near-product states)",
-                       low_conc, LOW_CONCURRENCE)
-    if violation_count:
+                       report.low_concurrence_count, LOW_CONCURRENCE)
+    if report.violation_count:
         logger.warning("%d sample(s) exceeded gamma = 1: conjecture counterexample candidates",
-                       violation_count)
-
-    histogram = [(float(edges[i]), float(edges[i + 1]), int(hist[i]))
-                 for i in range(cfg.histogram_bins)]
-    violations = [v for part in parts for v in part["violations"]][:VIOLATION_RECORD_CAP]
-    # PureState here, not in a worker: a pickled read-only array comes back writable
-    return ScanReport(
-        n_samples=cfg.n_samples,
-        sampler=cfg.sampler,
-        seed=cfg.seed,
-        max_gamma=best["max_gamma"],
-        argmax_index=best["argmax_index"],
-        argmax_state=PureState(best["argmax_row"], (3, 3)),
-        violation_count=violation_count,
-        histogram=histogram,
-        sample_rows=[row for part in parts for row in part["rows"]],
-        min_concurrence=min(part["min_concurrence"] for part in parts),
-        low_concurrence_count=low_conc,
-        violations=[(i, g, PureState(row, (3, 3))) for i, g, row in violations],
-    )
+                       report.violation_count)
+    return report

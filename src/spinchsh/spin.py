@@ -8,7 +8,7 @@ with eigenvalues s, s-1, ..., -s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +17,14 @@ import numpy as np
 INPUT_TOL = 1e-9
 # Largest residual of the spin-algebra identities that validation accepts.
 SPIN_ALGEBRA_TOL = 1e-12
+
+
+def rebuild_reduce(obj) -> tuple:
+    """``__reduce__`` of a frozen value dataclass: pickle and copy.deepcopy
+    rebuild it through its constructor, which copies its arrays read-only
+    and checks them, so no copy comes back writable or unchecked."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
@@ -41,6 +49,8 @@ class SpinOperators:
                              f"(3, {self.d}, {self.d}), got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "components", c)
+
+    __reduce__ = rebuild_reduce
 
     @property
     def d(self) -> int:

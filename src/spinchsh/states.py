@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .spin import spin_operators
+from .spin import rebuild_reduce, spin_operators
 from .ziggurat import FI_DOUBLE, KI_DOUBLE, WI_DOUBLE
 
 NORM_TOL = 1e-12       # pure-state and family-coefficient normalization
@@ -106,6 +106,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
+    __reduce__ = rebuild_reduce
+
     def matrix_form(self) -> np.ndarray:
         """Amplitudes as a (d_A, d_B) matrix: row = first party, column = second."""
         return self.amplitudes.reshape(self.dims)
@@ -131,6 +133,8 @@ class DensityMatrix:
         rho.setflags(write=False)
         object.__setattr__(self, "matrix", rho)
         object.__setattr__(self, "dims", dims)
+
+    __reduce__ = rebuild_reduce
 
     def coefficients(self) -> np.ndarray:
         """Computational-basis coefficient tensor, shape (d_A, d_A, d_B, d_B).
@@ -484,6 +488,8 @@ class Product(Family):
             require_physical(rho, name)
             rho.setflags(write=False)
             object.__setattr__(self, name, rho)
+
+    __reduce__ = rebuild_reduce
 
     @classmethod
     def from_flags(cls, path_a, path_b) -> "Product":

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,19 @@ class TestOptimizeSettings:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             optimize_settings(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="float range"):   # 2 sqrt(2) 1e308 is no float
+            optimize_settings(np.diag([1e308, 1e308, 0.0]))
+
+    @pytest.mark.parametrize("x", [1e-200, 1e-170, 1e200, 1e300])
+    def test_entries_far_from_one(self, x):
+        """v . v would overflow above ~1e154 and lose bits below ~1e-154;
+        the sweep runs on the matrix scaled by a power of two instead."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize_settings(np.diag([x, x, 0.0]))
+        assert result.value == pytest.approx(2 * math.sqrt(2) * x, rel=1e-12, abs=0)
+        assert result.converged
+        assert max(result.history) == result.value
 
     def test_optimizer_matches_loop_bits(self, rng):
         """Every field, to the byte, equals the per-sweep loop's: the

@@ -10,11 +10,14 @@ import platform
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh_analysis,
                       correlation_matrix_coeff, concurrence_pure, mix,
@@ -261,6 +264,87 @@ class TestReportStates:
             self.assert_own_row(state, batch[i])
         assert report.argmax_index == 0 and report.max_gamma == 1.25
         self.assert_own_row(report.argmax_state, batch[0])
+
+
+def toy_report(max_gamma=0.5, argmax_index=0, min_concurrence=0.5, sampler="uniform", seed=0,
+               bins=((0.0, 1.0),)):
+    """A one-sample report with the given maximum and minimum concurrence."""
+    return ScanReport(n_samples=1, sampler=sampler, seed=seed, max_gamma=max_gamma,
+                      argmax_index=argmax_index, argmax_state=PureState(np.eye(9)[0], (3, 3)),
+                      violation_count=0, histogram=[(lo, hi, 1) for lo, hi in bins],
+                      sample_rows=[], min_concurrence=min_concurrence, low_concurrence_count=0,
+                      violations=[])
+
+
+def merge_grouped(parts, data):
+    """The reports merged in order, grouped as hypothesis draws: any grouping
+    into consecutive groups, nested to any depth."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = data.draw(st.integers(1, len(parts) - 1))
+    return merge_grouped(parts[:cut], data).merge(merge_grouped(parts[cut:], data))
+
+
+class TestReportMerge:
+    """ScanReport.merge, the fold run_scan applies to chunk reports in chunk
+    order: its maximum is the first, as ``max`` picks it."""
+
+    @pytest.mark.parametrize("first, second, index", [
+        (math.nan, 0.9, 3), (0.9, math.nan, 3), (0.9, 0.9, 3), (0.5, 0.9, 8), (0.9, 0.5, 3),
+    ], ids=["earlier-nan-kept", "later-nan-ignored", "tie-lower-index", "later-greater",
+            "earlier-greater"])
+    def test_maximum_is_the_first(self, first, second, index):
+        parts = [toy_report(first, 3), toy_report(second, 8)]
+        merged = parts[0].merge(parts[1])
+        assert merged.argmax_index == index == max(parts, key=lambda r: r.max_gamma).argmax_index
+        assert repr(merged.max_gamma) == repr((first, second)[index == 8])
+
+    @pytest.mark.parametrize("first, second", [
+        (0.2, 0.1), (0.1, 0.2), (math.nan, 0.1), (0.1, math.nan), (0.0, -0.0), (-0.0, 0.0),
+    ])
+    def test_min_concurrence_as_builtin_min(self, first, second):
+        merged = toy_report(min_concurrence=first).merge(toy_report(min_concurrence=second))
+        assert repr(merged.min_concurrence) == repr(min(first, second))
+
+    @pytest.mark.parametrize("other", [
+        {"sampler": "haar"}, {"seed": 1}, {"bins": ((0.0, 0.5),)},
+        {"bins": ((0.0, 0.5), (0.5, 1.0))},
+    ])
+    def test_reports_of_another_scan_rejected(self, other):
+        with pytest.raises(ValueError, match="cannot merge"):
+            toy_report().merge(toy_report(**other))
+
+    def test_operands_unchanged(self):
+        """merge builds a new report: the chunk reports it folds stay as they were."""
+        parts = [replace(toy_report(), sample_rows=[(np.eye(9)[i], 0.5)],
+                         violations=[(i, 1.25, PureState(np.eye(9)[i], (3, 3)))])
+                 for i in range(2)]
+        before = [json.dumps(part.to_json()) for part in parts]
+        merged = parts[0].merge(parts[1])
+        assert [json.dumps(part.to_json()) for part in parts] == before
+        assert [i for i, _, _ in merged.violations] == [0, 1] and len(merged.sample_rows) == 2
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        """(chunk reports in chunk order, run_scan's JSON on 1 and 2 workers)
+        of a 1-chunk scan, a scan of whole chunks and one with a partial last
+        chunk, on each sampler."""
+        found = []
+        for sampler, n in product(("uniform", "haar"), (CHUNK, 3 * CHUNK, 2 * CHUNK + 77)):
+            cfg = ScanConfig(n_samples=n, sampler=sampler, seed=11)
+            edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
+            parts = [scan._scan_chunk((cfg, edges, start, min(start + CHUNK, n)))
+                     for start in range(0, n, CHUNK)]
+            found.append((parts, [json.dumps(run_scan(replace(cfg, workers=workers)).to_json())
+                                  for workers in (1, 2)]))
+        return found
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_grouping_merges_to_the_scan(self, scans, data):
+        parts, expected = data.draw(st.sampled_from(scans))
+        merged = json.dumps(merge_grouped(parts, data).to_json())
+        assert [merged, merged] == expected
 
 
 def chunk(sampler="uniform", seed=3, start=0):

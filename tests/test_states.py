@@ -1,8 +1,10 @@
 """State construction, named families, mixing, sampling, serialization."""
 
+import copy
 import importlib.util
 import math
 import os
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -79,15 +81,17 @@ class TestPureAndDensity:
     def test_value_objects_own_their_arrays(self, make, value, field):
         """A value object copies the array it is given: the caller's array
         stays writable, and editing it later cannot break an invariant the
-        object checked when it was built."""
+        object checked when it was built.  A pickled or deep-copied object
+        is rebuilt the same way."""
         given = value.copy()
         make(given)
         assert given.flags.writeable
         base = np.stack([value, value])
         obj = make(base[0])
         base[0] = 0
-        assert np.array_equal(getattr(obj, field), value)
-        assert not getattr(obj, field).flags.writeable
+        for copied in (obj, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert np.array_equal(getattr(copied, field), value)
+            assert not getattr(copied, field).flags.writeable
 
     def test_coefficient_view_matches_matrix(self, rng):
         rho = random_mixed(rng)
