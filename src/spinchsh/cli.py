@@ -114,23 +114,24 @@ def _family_from_args(args):
 
 
 def _state_from_args(args):
-    """Resolve the state source to (density, spec-or-None, pure-or-None)."""
+    """(state, spec) for the state source: the PureState or DensityMatrix as
+    built, and its family member, None for a state file."""
     if args.family is not None and args.state_file is not None:
         raise ValueError("give either --family or --state-file, not both")
     if args.family is not None:
         spec = _family_from_args(args)
-        if spec.pure:
-            pure = family_pure(spec)
-            return pure_to_density(pure), spec, pure
-        return family_state(spec), spec, None
+        return (family_pure if spec.pure else family_state)(spec), spec
     if args.state_file is not None:
         with open(args.state_file) as fh:
             data = json.load(fh)
-        obj = state_from_json(data)
-        if isinstance(obj, PureState):
-            return pure_to_density(obj), None, obj
-        return obj, None, None
+        return state_from_json(data), None
     raise ValueError("a state source is required: --family or --state-file")
+
+
+def _density(args):
+    """The density matrix of the state source."""
+    state = _state_from_args(args)[0]
+    return pure_to_density(state) if isinstance(state, PureState) else state
 
 
 def _spin_for(args, dims):
@@ -145,7 +146,7 @@ def _spin_for(args, dims):
 
 def _analysis(args):
     """(Z, its CHSH analysis) for the state the flags name, Z by the trace route."""
-    rho = _state_from_args(args)[0]
+    rho = _density(args)
     Z = correlation_matrix_trace(rho, spin_operators(_spin_for(args, rho.dims)))
     return Z, chsh_analysis(Z)
 
@@ -227,13 +228,13 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_concurrence(args) -> int:
-    rho, spec, pure = _state_from_args(args)
-    if pure is None:
+    state, spec = _state_from_args(args)
+    if not isinstance(state, PureState):
         raise ValueError("concurrence needs a pure state: a pure --family or an "
                          "amplitude --state-file")
     if args.spin is not None:  # concurrence needs no spin, but a given one must fit
-        _spin_for(args, rho.dims)
-    numeric = concurrence_pure(pure)
+        _spin_for(args, state.dims)
+    numeric = concurrence_pure(state)
     analytic = analytic_concurrence(spec) if spec is not None else None
     _print_formatted(args, {"concurrence": numeric, "analytic": analytic},
                      ["concurrence", "analytic"], [numeric, analytic])
@@ -247,7 +248,7 @@ def _cmd_validate(args) -> int:
             dims, entries = _read_state(json.load(fh))
         checks = norm_residuals(entries) if entries.ndim == 1 else physicality_residuals(entries)
     else:
-        rho = _state_from_args(args)[0]
+        rho = _density(args)
         dims, checks = rho.dims, physicality_residuals(rho.matrix)
     algebra = validate_spin_algebra(spin_operators(_spin_for(args, dims)))
     algebra_ok = max(algebra.values()) <= SPIN_ALGEBRA_TOL

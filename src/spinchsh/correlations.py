@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (SpinOperators, _check_spin_value, check_unit_vector, rebuild_reduce,
-                   spin_projection)
+from .spin import SpinOperators, Value, _check_spin_value, check_unit_vector, own, spin_projection
 from .states import DensityMatrix, Family, family_of
 
 # Imaginary parts of correlation traces must vanish for physical states.
@@ -39,7 +38,7 @@ NORM_CAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(Value):
     """Real 3x3 spin correlation matrix together with the measured spin s.
 
     The entries must be finite and s a half-integer >= 1/2, stored snapped
@@ -53,7 +52,7 @@ class CorrelationMatrix:
     imag_residual: float = 0.0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float, order="C")
+        m = own(self, "matrix", float)
         if m.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {m.shape}")
         if not np.isfinite(m).all():
@@ -61,14 +60,10 @@ class CorrelationMatrix:
         object.__setattr__(self, "s", _check_spin_value(self.s))
         if self.s == 1.0:
             check_norm_cap(np.linalg.eigvalsh(m.T @ m))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    __reduce__ = rebuild_reduce
 
 
 @dataclass(frozen=True)
-class ChshAnalysis:
+class ChshAnalysis(Value):
     """Singular values of the correlation matrix and the derived CHSH data.
 
     gamma = sqrt(z^2 + zt^2) / s^2 is the ratio of the quantum maximum to the
@@ -79,6 +74,9 @@ class ChshAnalysis:
     singular_values: np.ndarray  # descending
     gamma: float
     upsilon: float
+
+    def __post_init__(self):
+        own(self, "singular_values", float)
 
     @property
     def violated(self) -> bool:
@@ -94,7 +92,7 @@ class ChshAnalysis:
 
 
 @dataclass(frozen=True)
-class MeasurementSetting:
+class MeasurementSetting(Value):
     """Two measurement directions per party, each a unit vector in R^3."""
 
     a1: np.ndarray
@@ -104,11 +102,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            v = check_unit_vector(name, getattr(self, name))
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-    __reduce__ = rebuild_reduce
+            check_unit_vector(name, own(self, name, float))
 
 
 def correlation_matrix_trace(rho: DensityMatrix, ops: SpinOperators) -> CorrelationMatrix:
@@ -216,7 +210,6 @@ def chsh_analysis(Z: CorrelationMatrix) -> ChshAnalysis:
     s_sq = Z.s * Z.s
     gamma = root / s_sq
     check_tsirelson(gamma)
-    sv.setflags(write=False)
     return ChshAnalysis(singular_values=sv, gamma=gamma, upsilon=2 * s_sq * gamma)
 
 

@@ -11,11 +11,11 @@ of the pure named families live in the family table ``states.FAMILIES``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin import rebuild_reduce
+from .spin import Value, own
 from .states import DensityMatrix, PureState, family_of, require_physical
 
 # Slack on the purity range [1/d, 1] of a reduced state.
@@ -23,28 +23,22 @@ PURITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    """Single-party density matrix with its purity tr[rho^2]."""
+class ReducedState(Value):
+    """Single-party density matrix with its purity tr[rho^2], derived from it."""
 
     matrix: np.ndarray
-    purity: float
+    purity: float = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, order="C")
-        d = m.shape[0]
-        if m.shape != (d, d):
+        m = own(self, "matrix", complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("reduced state must be square")
         require_physical(m, "reduced state")
-        if not (1.0 / d - PURITY_TOL <= self.purity <= 1.0 + PURITY_TOL):
-            raise ValueError(f"purity {self.purity} outside [1/{d}, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    __reduce__ = rebuild_reduce
-
-
-def _frobenius_sq(m: np.ndarray) -> float:
-    return float(np.sum(m.real ** 2 + m.imag ** 2))
+        d = m.shape[0]
+        purity = float(np.sum(m.real ** 2 + m.imag ** 2))  # the squared Frobenius norm
+        if not (1.0 / d - PURITY_TOL <= purity <= 1.0 + PURITY_TOL):
+            raise ValueError(f"purity {purity} outside [1/{d}, 1]")
+        object.__setattr__(self, "purity", purity)
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> ReducedState:
@@ -58,7 +52,7 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> ReducedState:
         red = np.einsum("kikj->ij", t)
     else:
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return ReducedState(matrix=red, purity=_frobenius_sq(red))
+    return ReducedState(red)
 
 
 def concurrence_pure(psi: PureState) -> float:

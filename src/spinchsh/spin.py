@@ -19,11 +19,23 @@ INPUT_TOL = 1e-9
 SPIN_ALGEBRA_TOL = 1e-12
 
 
-def rebuild_reduce(obj) -> tuple:
-    """``__reduce__`` of a frozen value dataclass: pickle and copy.deepcopy
-    rebuild it through its constructor, which copies its arrays read-only
-    and checks them, so no copy comes back writable or unchecked."""
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+class Value:
+    """Base of the frozen value dataclasses, which check their invariants
+    once, when they are built: each array field is stored by ``own``, and
+    pickle and copy.deepcopy rebuild the object through its constructor
+    from its ``init`` fields, so no copy comes back writable or unchecked."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+def own(obj, name: str, dtype) -> np.ndarray:
+    """Store field ``name`` of ``obj`` as a read-only C-ordered copy of
+    ``dtype`` and return it; a caller's array is never kept or frozen."""
+    a = np.array(getattr(obj, name), dtype=dtype, order="C")
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
 
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -33,7 +45,7 @@ for _i, _j, _k, _s in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
 
 
 @dataclass(frozen=True)
-class SpinOperators:
+class SpinOperators(Value):
     """The three d x d Hermitian spin component matrices for spin s (d = 2s+1)."""
 
     s: float
@@ -41,16 +53,12 @@ class SpinOperators:
 
     def __post_init__(self):
         object.__setattr__(self, "s", _check_spin_value(self.s))
-        # a read-only copy; the spin algebra is checked by validate_spin_algebra,
-        # not here, so perturbed operators can be built and measured
-        c = np.array(self.components, dtype=complex, order="C")
+        # the spin algebra is checked by validate_spin_algebra, not here, so
+        # perturbed operators can be built and measured
+        c = own(self, "components", complex)
         if c.shape != (3, self.d, self.d):
             raise ValueError(f"spin-{self.s} components must have shape "
                              f"(3, {self.d}, {self.d}), got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "components", c)
-
-    __reduce__ = rebuild_reduce
 
     @property
     def d(self) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .spin import rebuild_reduce, spin_operators
+from .spin import Value, own, spin_operators
 from .ziggurat import FI_DOUBLE, KI_DOUBLE, WI_DOUBLE
 
 NORM_TOL = 1e-12       # pure-state and family-coefficient normalization
@@ -88,25 +88,21 @@ def require_physical(matrix, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class PureState:
+class PureState(Value):
     """Normalized pure state on a (d_A * d_B)-dimensional bipartite space."""
 
     amplitudes: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex, order="C")
+        amps = own(self, "amplitudes", complex)
         dims = _check_dims(self.dims)
         if amps.shape != (dims[0] * dims[1],):
             raise ValueError(f"amplitude vector of length {amps.shape} does not match dims {dims}")
         res = norm_residuals(amps)
         if not res["valid"]:
             raise StateInvariantError(f"state is not normalized: off by {res['norm_deviation']!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
-
-    __reduce__ = rebuild_reduce
 
     def matrix_form(self) -> np.ndarray:
         """Amplitudes as a (d_A, d_B) matrix: row = first party, column = second."""
@@ -117,24 +113,20 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Value):
     """Hermitian, trace-one, positive-semidefinite bipartite density matrix."""
 
     matrix: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        rho = np.array(self.matrix, dtype=complex, order="C")
+        rho = own(self, "matrix", complex)
         dims = _check_dims(self.dims)
         n = dims[0] * dims[1]
         if rho.shape != (n, n):
             raise ValueError(f"matrix shape {rho.shape} does not match dims {dims}")
         require_physical(rho, "matrix")
-        rho.setflags(write=False)
-        object.__setattr__(self, "matrix", rho)
         object.__setattr__(self, "dims", dims)
-
-    __reduce__ = rebuild_reduce
 
     def coefficients(self) -> np.ndarray:
         """Computational-basis coefficient tensor, shape (d_A, d_A, d_B, d_B).
@@ -397,11 +389,11 @@ class Horodecki(_OneParameter):
     def state(self) -> DensityMatrix:
         # direct weighted assembly: the endpoint weight (5 - tau)/7 vanishes
         # at tau = 5, which mix() would reject
-        ghz = family_state(GHZ3())
+        a = GHZ3().state().amplitudes
         # projectors onto |12>, |23>, |31> and onto |21>, |32>, |13>
         cyc_up = np.diag([0.0, 1, 0, 0, 0, 1, 1, 0, 0]) / 3
         cyc_down = np.diag([0.0, 0, 1, 1, 0, 0, 0, 1, 0]) / 3
-        rho = 2 / 7 * ghz.matrix + self.tau / 7 * cyc_up + (5 - self.tau) / 7 * cyc_down
+        rho = 2 / 7 * np.outer(a, a.conj()) + self.tau / 7 * cyc_up + (5 - self.tau) / 7 * cyc_down
         return DensityMatrix(rho, (3, 3))
 
     def gamma(self) -> float:
@@ -469,7 +461,7 @@ def _load_qutrit_matrix(path):
 
 
 @dataclass(frozen=True)
-class Product(Family):
+class Product(Family, Value):
     """Product of two single-qutrit density matrices (3x3 arrays)."""
 
     rho_a: np.ndarray
@@ -481,15 +473,11 @@ class Product(Family):
                   "JSON", required=False))
 
     def __post_init__(self):
-        for name, rho in (("rho_a", self.rho_a), ("rho_b", self.rho_b)):
-            rho = np.array(rho, dtype=complex, order="C")
+        for name in ("rho_a", "rho_b"):
+            rho = own(self, name, complex)
             if rho.shape != (3, 3):
                 raise ValueError(f"{name} must be a 3x3 matrix")
             require_physical(rho, name)
-            rho.setflags(write=False)
-            object.__setattr__(self, name, rho)
-
-    __reduce__ = rebuild_reduce
 
     @classmethod
     def from_flags(cls, path_a, path_b) -> "Product":

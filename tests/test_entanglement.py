@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_pure, random_unit_triple
 from spinchsh import (Antisym, Example1, Example2, GHZ3, Horodecki, Product,
-                      PureState, Sym, Werner, analytic_concurrence,
+                      PureState, ReducedState, Sym, Werner, analytic_concurrence,
                       chsh_analysis, concurrence_pure,
                       correlation_matrix_trace, family_pure, family_state,
                       partial_trace, pure_to_density, spin_operators)
@@ -41,6 +41,17 @@ class TestPartialTrace:
         red = partial_trace(pure_to_density(PureState(amps, (3, 3))), keep="B")
         assert np.allclose(red.matrix, np.diag([1.0, 0.0, 0.0]), atol=0)
         assert red.purity == pytest.approx(1.0, abs=1e-14)
+
+    def test_purity_is_derived_from_the_matrix(self):
+        red = ReducedState(np.eye(3) / 3)
+        assert red.purity == pytest.approx(1 / 3, abs=1e-15)
+        with pytest.raises(TypeError):
+            ReducedState(np.eye(3) / 3, 0.9)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3, 1), ()])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            ReducedState(np.full(shape, 0.5))
 
     def test_schmidt_symmetry(self, rng):
         for _ in range(50):

@@ -1,10 +1,13 @@
 """State construction, named families, mixing, sampling, serialization."""
 
 import copy
+import dataclasses
 import importlib.util
+import inspect
 import math
 import os
 import pickle
+import pkgutil
 import sys
 import warnings
 from pathlib import Path
@@ -13,15 +16,17 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed, random_pure, random_qutrit_density, random_unit_triple
-from spinchsh import (Antisym, CorrelationMatrix, DensityMatrix, Example1, Example2, GHZ3,
-                      Horodecki, MeasurementSetting, Product, PureState, ReducedState,
-                      SpinOperators, StateInvariantError, Sym, Werner, family_pure, family_state,
-                      mix, pure_to_density, sample_pure_state, spin_operators, state_from_json,
-                      swap_operator)
+from spinchsh import (Antisym, ChshAnalysis, CorrelationMatrix, DensityMatrix, Example1,
+                      Example2, GHZ3, Horodecki, MeasurementSetting, Product, PureState,
+                      ReducedState, SpinOperators, StateInvariantError, Sym, Werner, family_pure,
+                      family_state, mix, pure_to_density, sample_pure_state, spin_operators,
+                      state_from_json, swap_operator)
 from spinchsh.states import (amplitude_rows, keyed_generator, norm_residuals,
                              physicality_residuals, sample_amplitude_batch)
 from spinchsh.states import _PHILOX_TILE, _from_pairs, _normalize, _philox_raw, _ziggurat
+import spinchsh
 from spinchsh import ziggurat
+from spinchsh.spin import Value
 
 
 def basis_state(m, k):
@@ -74,10 +79,11 @@ class TestPureAndDensity:
         (lambda x: Product(x, np.eye(3, dtype=complex) / 3), np.eye(3, dtype=complex) / 3, "rho_a"),
         (lambda x: CorrelationMatrix(x, s=1.0), np.diag([0.5, -0.5, 0.5]), "matrix"),
         (lambda x: MeasurementSetting(x, *np.eye(3)), np.array([0.6, 0.8, 0.0]), "a1"),
-        (lambda x: ReducedState(x, 1 / 3), np.eye(3, dtype=complex) / 3, "matrix"),
+        (lambda x: ReducedState(x), np.eye(3, dtype=complex) / 3, "matrix"),
         (lambda x: SpinOperators(1.0, x), spin_operators(1.0).components, "components"),
+        (lambda x: ChshAnalysis(x, 2.0, 3.0), np.array([1.0, 0.5, 0.0]), "singular_values"),
     ], ids=["PureState", "DensityMatrix", "Product", "CorrelationMatrix", "MeasurementSetting",
-            "ReducedState", "SpinOperators"])
+            "ReducedState", "SpinOperators", "ChshAnalysis"])
     def test_value_objects_own_their_arrays(self, make, value, field):
         """A value object copies the array it is given: the caller's array
         stays writable, and editing it later cannot break an invariant the
@@ -92,6 +98,22 @@ class TestPureAndDensity:
         for copied in (obj, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert np.array_equal(getattr(copied, field), value)
             assert not getattr(copied, field).flags.writeable
+
+    def test_array_dataclasses_subclass_value(self):
+        """Every dataclass of the package that has an array field is a Value,
+        so it stores the array through ``own`` and pickles through its
+        constructor: test_value_objects_own_their_arrays holds for every
+        value object, not only those it lists."""
+        found = set()
+        for info in pkgutil.iter_modules(spinchsh.__path__):
+            module = importlib.import_module(f"spinchsh.{info.name}")
+            found.update(cls for cls in vars(module).values()
+                         if inspect.isclass(cls) and cls.__module__ == module.__name__
+                         and dataclasses.is_dataclass(cls)
+                         and any("ndarray" in str(f.type) for f in dataclasses.fields(cls)))
+        assert found >= {PureState, DensityMatrix, Product, CorrelationMatrix, MeasurementSetting,
+                         ReducedState, SpinOperators, ChshAnalysis}
+        assert [cls.__name__ for cls in found if not issubclass(cls, Value)] == []
 
     def test_coefficient_view_matches_matrix(self, rng):
         rho = random_mixed(rng)
@@ -791,7 +813,7 @@ class TestPhysicalityResiduals:
             with pytest.raises(StateInvariantError):
                 Product(m, np.eye(3) / 3)
             with pytest.raises(StateInvariantError):
-                ReducedState(m, 1 / 3)
+                ReducedState(m)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
