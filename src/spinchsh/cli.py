@@ -20,7 +20,7 @@ declares it at the top level and for each subcommand.
 
 The CLI reads its tables rather than repeating them: ``states.FAMILIES``
 (``--family`` and its flags), ``_SWEEPS`` (``sweep --example``; a family's
-interval gives the grid), ``states.SAMPLERS`` (``scan --sampler``) and
+interval gives the grid), ``sampler.SAMPLERS`` (``scan --sampler``) and
 ``TABLE_COLUMNS`` (``--rows-out``, the report's leading sample rows).
 
 The parser is built once per process, at first use rather than at import,
@@ -45,9 +45,10 @@ from . import __version__
 from .correlations import analytic_gamma, chsh_analysis, correlation_matrix_trace
 from .entanglement import analytic_concurrence, concurrence_pure
 from .optimizer import OptimizerConfig, optimize_settings
+from .sampler import SAMPLERS
 from .scan import SAMPLE_ROW_COUNT, ScanConfig, run_scan
 from .spin import SPIN_ALGEBRA_TOL, spin_operators, validate_spin_algebra
-from .states import (FAMILIES, SAMPLERS, Example1, Example2, PureState,
+from .states import (FAMILIES, Example1, Example2, PureState,
                      StateInvariantError, Werner, _read_state, _to_pairs, family_pure,
                      family_state, norm_residuals, physicality_residuals,
                      pure_to_density, state_from_json)

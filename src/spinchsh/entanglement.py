@@ -31,8 +31,6 @@ class ReducedState(Value):
 
     def __post_init__(self):
         m = own(self, "matrix", complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("reduced state must be square")
         require_physical(m, "reduced state")
         d = m.shape[0]
         purity = float(np.sum(m.real ** 2 + m.imag ** 2))  # the squared Frobenius norm

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CorrelationMatrix, MeasurementSetting
-from .states import check_key, keyed_generator
+from .sampler import check_key, keyed_generator
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .correlations import (VIOLATION_TOL, check_norm_cap, check_tsirelson,
                            correlation_from_coefficients, top_two_root)
-from .states import (SAMPLERS, PureState, _to_pairs, amplitude_rows, check_key,
-                     sample_amplitude_batch)
+from .sampler import amplitude_rows, check_key, check_sampler, sample_amplitude_batch
+from .states import PureState, _to_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +83,7 @@ class ScanConfig:
             raise ValueError("n_samples must be >= 1")
         if self.n_samples > 2 ** 64:  # sample indices, like seeds, lie in [0, 2**64)
             raise ValueError(f"n_samples must be <= 2**64, got {self.n_samples}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}; choose from {SAMPLERS}")
+        check_sampler(self.sampler)
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be >= 1")
         if self.workers < 1:

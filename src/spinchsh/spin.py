@@ -8,6 +8,7 @@ with eigenvalues s, s-1, ..., -s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,6 +83,15 @@ def check_unit_vector(name: str, v) -> np.ndarray:
     if not abs(norm - 1.0) <= INPUT_TOL:  # NaN fails
         raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
     return v
+
+
+def check_dims(dims) -> tuple:
+    """``dims`` as a tuple of two ints; raises ValueError unless it is a
+    list or tuple of two integers >= 2, the factors of a bipartite space."""
+    if not (isinstance(dims, (list, tuple)) and len(dims) == 2
+            and all(isinstance(d, numbers.Integral) and d >= 2 for d in dims)):
+        raise ValueError(f"dims must be two factors >= 2, got {dims}")
+    return tuple(int(d) for d in dims)
 
 
 def spin_operators(s: float) -> SpinOperators:

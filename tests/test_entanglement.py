@@ -48,7 +48,7 @@ class TestPartialTrace:
         with pytest.raises(TypeError):
             ReducedState(np.eye(3) / 3, 0.9)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3, 1), ()])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3, 1), (), (0, 0)])
     def test_non_square_matrix_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
             ReducedState(np.full(shape, 0.5))

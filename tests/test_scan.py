@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from spinchsh import (CorrelationMatrix, PureState, ScanConfig, ScanReport, chsh
 from spinchsh.correlations import VIOLATION_TOL, correlation_from_coefficients, top_two_root
 from spinchsh.scan import CHUNK, CONCURRENCE_MAX, SAMPLE_ROW_COUNT, batch_gamma_concurrence
 from spinchsh import cli, scan, states
-from spinchsh.states import amplitude_rows, sample_amplitude_batch
+from spinchsh.sampler import amplitude_rows, sample_amplitude_batch
 
 
 def pipeline_gamma(psi):
@@ -706,6 +707,25 @@ class TestBenchmarkTracerNames:
         assert len(layers) == 11
         for name in [*layers, "build_parser"]:
             assert hasattr(cli, name), name
+
+
+class TestBenchmarkImports:
+    """A name a perfbench module imports from spinchsh that the program no
+    longer has makes every benchmark run exit non-zero."""
+
+    def test_every_imported_name_exists(self):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        imported = [(node.module, alias.name)
+                    for path in sorted(perfbench.glob("*.py"))
+                    for node in ast.walk(benchmark_tree(path.stem))
+                    if isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "spinchsh"
+                    for alias in node.names]
+        assert imported
+        for module, name in imported:
+            # a from-import takes a submodule too, as ``from spinchsh import cli``
+            found = importlib.import_module(module)
+            assert hasattr(found, name) or importlib.util.find_spec(f"{module}.{name}"), (module, name)
 
 
 class TestReportDigests:

@@ -38,7 +38,7 @@ Usage::
 
     python tools/extract_ziggurat.py
 
-``tests/test_states.py`` probes the installed numpy the same way and compares
+``tests/test_sampler.py`` probes the installed numpy the same way and compares
 the result with the committed module.
 """
 
