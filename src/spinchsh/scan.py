@@ -318,9 +318,10 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     """Scan cfg.n_samples random pure two-qutrit states and reduce.
 
     The report is a pure function of (seed, n_samples, sampler,
-    histogram_bins); the worker count only affects wall time.  The seed
-    lies in [0, 2**64); ScanConfig rejects any other value.  The states it
-    names are the rows the scan drew.
+    histogram_bins); the worker count only affects wall time.  On any worker
+    count no task list is built: chunk reports are folded in chunk order as
+    they arrive.  The seed lies in [0, 2**64); ScanConfig rejects any other
+    value.  The states it names are the rows the scan drew.
     """
     edges = np.linspace(0.0, CONCURRENCE_MAX, cfg.histogram_bins + 1)
     tasks = ((cfg, edges, start, min(start + CHUNK, cfg.n_samples))
@@ -329,9 +330,10 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     if workers == 1:
         report = reduce(ScanReport.merge, map(_scan_chunk, tasks))
     else:
+        # up to 4 chunks per message, yet about 4 hand-outs per worker so none idles long
+        handout = max(1, min(4, cfg.n_samples // (CHUNK * 4 * workers)))
         with Pool(processes=workers) as pool:
-            # one chunk per hand-out: no worker idles while another runs a last batch
-            report = reduce(ScanReport.merge, pool.map(_scan_chunk, tasks, chunksize=1))
+            report = reduce(ScanReport.merge, pool.imap(_scan_chunk, tasks, handout))
     if report.low_concurrence_count:
         logger.warning("%d sample(s) had concurrence <= %.0e (near-product states)",
                        report.low_concurrence_count, LOW_CONCURRENCE)

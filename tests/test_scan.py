@@ -6,6 +6,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import multiprocessing
+import multiprocessing.pool
 import os
 import platform
 import subprocess
@@ -14,6 +16,7 @@ import textwrap
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,13 +86,19 @@ class TestRunScan:
 
     @staticmethod
     def recording_pool(monkeypatch, cpus):
-        """Patch in a Pool that maps in this process, so no worker starts,
-        and a CPU count; returns the list of pool sizes asked for."""
-        started = []
+        """Patch in a Pool whose imap runs its tasks lazily in this process, so
+        no worker starts, and a CPU count; returns the record of the pool
+        sizes asked for, the hand-out size of each imap and the tasks drawn."""
+        record = SimpleNamespace(started=[], handouts=[], drawn=0)
+
+        def drawn(tasks):
+            for task in tasks:
+                record.drawn += 1
+                yield task
 
         class RecordingPool:
             def __init__(self, processes):
-                started.append(processes)
+                record.started.append(processes)
 
             def __enter__(self):
                 return self
@@ -97,20 +106,22 @@ class TestRunScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
-                assert chunksize == 1  # one chunk per hand-out: no worker idles at the end
-                return [fn(t) for t in tasks]
+            def imap(self, fn, tasks, chunksize):
+                assert iter(tasks) is tasks   # a lazy iterator, not a task list
+                record.handouts.append(chunksize)
+                return map(fn, drawn(tasks))
 
         monkeypatch.setattr(scan, "Pool", RecordingPool)
         monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
-        return started
+        return record
 
     def test_pool_never_outnumbers_chunks(self, monkeypatch):
         """A scan starts at most one worker per chunk; the report is unchanged."""
-        started = self.recording_pool(monkeypatch, cpus=64)
+        pool = self.recording_pool(monkeypatch, cpus=64)
         n = CHUNK + 5  # two chunks
         wide = run_scan(ScanConfig(n_samples=n, seed=5, workers=64))
-        assert started == [2]
+        assert pool.started == [2]
+        assert pool.handouts == [1]   # too few chunks for a worker to get several hand-outs
         solo = run_scan(ScanConfig(n_samples=n, seed=5, workers=1))
         assert json.dumps(wide.to_json()) == json.dumps(solo.to_json())
 
@@ -118,12 +129,53 @@ class TestRunScan:
     def test_pool_never_outnumbers_cpus(self, cpus, pools, monkeypatch):
         """A scan starts at most one worker per CPU, and no pool on one CPU
         or when the count is unknown; the report is unchanged."""
-        started = self.recording_pool(monkeypatch, cpus)
+        pool = self.recording_pool(monkeypatch, cpus)
         n = 4 * CHUNK + 5  # five chunks
         wide = run_scan(ScanConfig(n_samples=n, seed=5, workers=5000))
-        assert started == pools
+        assert pool.started == pools
+        assert pool.handouts == [1] * len(pools)
         solo = run_scan(ScanConfig(n_samples=n, seed=5, workers=1))
         assert json.dumps(wide.to_json()) == json.dumps(solo.to_json())
+
+    def test_pool_draws_tasks_lazily(self, monkeypatch):
+        """A two-worker scan draws its chunk tasks as the pool hands them
+        out, never as a list of every chunk, and a failing chunk stops it."""
+        pool = self.recording_pool(monkeypatch, cpus=2)
+        chunk = scan._scan_chunk
+        calls = []
+
+        class Sentinel(Exception):
+            pass
+
+        def third_fails(task):
+            calls.append(task)
+            if len(calls) == 3:
+                raise Sentinel
+            return chunk(task)
+
+        monkeypatch.setattr(scan, "_scan_chunk", third_fails)
+        with pytest.raises(Sentinel):
+            run_scan(ScanConfig(n_samples=1000 * CHUNK, seed=5, workers=2))
+        assert pool.started == [2] and pool.handouts == [4]
+        assert pool.drawn <= 3 + pool.handouts[0]
+
+    def test_handout_keeps_report_bytes(self, monkeypatch):
+        """Chunks handed out several at a time, with a shorter last hand-out
+        (35 chunks in hand-outs of 4), fold to the one-worker bytes."""
+        handouts = []
+
+        class HandoutPool(multiprocessing.pool.Pool):
+            def imap(self, func, iterable, chunksize=1):
+                handouts.append(chunksize)
+                return super().imap(func, iterable, chunksize)
+
+        monkeypatch.setattr(scan, "Pool", HandoutPool)
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+        n = 34 * CHUNK + 5
+        duo = run_scan(ScanConfig(n_samples=n, seed=11, workers=2))
+        assert handouts == [4] and -(-n // CHUNK) % 4 == 3
+        solo = run_scan(ScanConfig(n_samples=n, seed=11, workers=1))
+        assert json.dumps(duo.to_json()) == json.dumps(solo.to_json())
 
     def test_reduction_matches_per_sample_loop(self):
         n = 300
@@ -254,6 +306,8 @@ class TestReportStates:
             return gamma, conc
 
         monkeypatch.setattr(scan, "batch_gamma_concurrence", marked)
+        if workers > 1:   # the patched kernel reaches a worker only through fork
+            monkeypatch.setattr(scan, "Pool", multiprocessing.get_context("fork").Pool)
         n = 2 * CHUNK
         report = run_scan(ScanConfig(n_samples=n, seed=4, workers=workers))
         marked_rows = [start + i for start in (0, CHUNK) for i in range(0, CHUNK, 137)]
